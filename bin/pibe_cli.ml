@@ -368,18 +368,35 @@ let profile_cmd_impl seed scale iters out =
     (Pibe_profile.Profile.total_indirect_weight profile);
   0
 
+(* A profile file is outside input: a missing or unreadable file, a
+   malformed line and a negative count are usage errors, reported with the
+   file, the line when there is one and the reason. *)
+let read_profile_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error reason ->
+    (* the message names the file for a failed open, not for a failed read *)
+    let prefix = path ^ ": " in
+    let reason =
+      if String.starts_with ~prefix reason then
+        String.sub reason (String.length prefix) (String.length reason - String.length prefix)
+      else reason
+    in
+    Error (Printf.sprintf "%s: cannot read profile: %s" path reason)
+  | text -> (
+    match Pibe_profile.Profile.parse text with
+    | Ok profile -> Ok profile
+    | Error (line, reason) -> Error (Printf.sprintf "%s:%d: %s" path line reason))
+
 let optimize_cmd_impl seed scale defenses budget profile_path out =
-  match parse_defenses defenses with
-  | Error e ->
+  match (parse_defenses defenses, read_profile_file profile_path) with
+  | Error e, _ ->
     prerr_endline e;
     1
-  | Ok d ->
+  | _, Error e ->
+    prerr_endline ("pibe optimize: " ^ e);
+    2
+  | Ok d, Ok profile ->
     let info = gen ~seed ~scale in
-    let ic = open_in profile_path in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    let profile = Pibe_profile.Profile.of_string text in
     let config =
       {
         Pibe.Config.defenses = d;

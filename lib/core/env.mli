@@ -80,11 +80,18 @@ val apache_profile : t -> Pibe_profile.Profile.t
 (** Training profile from the ApacheBench-style workload (§8.4). *)
 
 val build : t -> Config.t -> Pipeline.built
-(** Cached optimize+harden for a configuration (LMBench profile). *)
+(** Cached optimize+harden for a configuration (LMBench profile).  The
+    cache keeps one image per configuration, so repeated calls return the
+    physically same image — the identity the engine's compile cache keys
+    on. *)
 
 val build_with_profile :
   t -> profile:Pibe_profile.Profile.t -> Config.t -> Pipeline.built
-(** Uncached variant for alternate training profiles. *)
+(** [build] for an alternate training profile.  The environment keeps no
+    cache for these: every call returns a fresh image.  The pass
+    manager's prefix memo (see {!Pibe_pm.Manager.run}) still skips the
+    optimization passes when the same profile and optimization level were
+    built recently, so defense-only variants stay cheap. *)
 
 val latencies : t -> Config.t -> (string * float) list
 (** Cached LMBench latency suite on the configuration's image. *)

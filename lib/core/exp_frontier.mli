@@ -13,5 +13,9 @@
 
 val run : Env.t -> Pibe_util.Tbl.t
 
+val defense_sets : (string * Pibe_harden.Pass.defenses) list
+(** The seven defense sets, cheap/weak to expensive/strong, with their
+    row labels. *)
+
 val drill_names : string list
 (** The ledger's drill labels, in column order. *)

@@ -96,21 +96,171 @@ let trace_pass_deltas ~before:(b : snapshot) ~after:(a : snapshot) detail =
     | args -> Trace.counter ~cat:"pm" "pass-detail" args
   end
 
+let initial_state prog profile =
+  {
+    Pass.prog;
+    profile = Profile.copy profile;
+    defenses = Pibe_harden.Pass.no_defenses;
+    rsb_refill = false;
+    provenance = Pibe_profile.Provenance.create ();
+  }
+
+(* Runs [passes] from [st], [before] being the snapshot of [st.prog].  A
+   pass that hands back the same physical program keeps the previous
+   snapshot instead of re-measuring it (each snapshot is a full layout). *)
+let run_passes ~inspect st before passes =
+  let st = ref st and before = ref before in
+  let stats =
+    List.map
+      (fun (p : Pass.t) ->
+        let name = Spec.elem_to_string p.spec in
+        Trace.span ~cat:"pm" ("pass:" ^ name) (fun () ->
+            let t0 = Unix.gettimeofday () in
+            let st', detail = p.run !st in
+            let wall_s = Unix.gettimeofday () -. t0 in
+            inspect st'.Pass.prog;
+            let after =
+              if st'.Pass.prog == !st.Pass.prog then !before else snapshot st'.Pass.prog
+            in
+            trace_pass_deltas ~before:!before ~after detail;
+            let s = { pass = name; wall_s; before = !before; after; detail } in
+            st := st';
+            before := after;
+            s))
+      passes
+  in
+  (!st, stats)
+
+(* ----------------------- optimization-prefix memo ----------------------- *)
+
+(* The state after the optimization prefix — every pass up to the last one
+   that is not request-only — depends only on the input program, the
+   profile, [verify] and the prefix itself; the request-only suffix never
+   touches it.  So defense-only variants of one optimized kernel share one
+   prefix run.  A bounded LRU, MRU first, built like the engine's compile
+   cache: guarded by a mutex because pipelines run on worker domains too, a
+   miss computes outside the lock (duplicated work is pure), and a racing
+   domain's finished entry is kept over our own.  Eight entries cover the
+   working sets that repeat: the (kernel, profile) pairs of a bench sweep
+   times their LTO/PGO prefixes. *)
+type memo_entry = {
+  mprog : Program.t;  (* physical identity *)
+  mprofile : string;  (* canonical Profile.to_string text *)
+  mverify : bool;
+  mspec : string;  (* canonical spec of the prefix *)
+  mstate : Pass.state;  (* profile and provenance are never handed out *)
+  mstats : pass_stats list;
+}
+
+type memo_stats = {
+  hits : int;
+  misses : int;
+  entries : int;
+}
+
+let memo_capacity = 8
+let memo_lock = Mutex.create ()
+let memo : memo_entry list ref = ref []
+let memo_hits = Atomic.make 0
+let memo_misses = Atomic.make 0
+
+let memo_stats () =
+  Mutex.lock memo_lock;
+  let entries = List.length !memo in
+  Mutex.unlock memo_lock;
+  { hits = Atomic.get memo_hits; misses = Atomic.get memo_misses; entries }
+
+(* Whether a run hits depends on what ran before it, so the events live
+   in the "sched" category that [Trace.canonical] strips. *)
+let note_memo ~hit =
+  Atomic.incr (if hit then memo_hits else memo_misses);
+  if Trace.enabled () then
+    Trace.counter ~cat:"sched" (if hit then "pm-memo-hit" else "pm-memo-miss")
+      [ ("count", Trace.Int 1) ]
+
+let rec truncate n = function
+  | [] -> []
+  | _ :: _ when n = 0 -> []
+  | e :: rest -> e :: truncate (n - 1) rest
+
+let take_entry ~prog ~profile ~verify ~spec entries =
+  let rec go acc = function
+    | [] -> None
+    | e :: rest
+      when e.mprog == prog && e.mverify = verify && String.equal e.mspec spec
+           && String.equal e.mprofile profile ->
+      Some (e, List.rev_append acc rest)
+    | e :: rest -> go (e :: acc) rest
+  in
+  go [] entries
+
+(* Hands out fresh copies of the mutable parts, so no two results (and
+   no result and the memo) share a profile or a provenance tree. *)
+let private_state (st : Pass.state) =
+  {
+    st with
+    Pass.profile = Profile.copy st.Pass.profile;
+    provenance = Pibe_profile.Provenance.copy st.Pass.provenance;
+  }
+
+(* A hit replays the prefix's spans and counters from its recorded stats,
+   so the canonical trace of a hit equals that of a miss. *)
+let replay stats =
+  List.iter
+    (fun s ->
+      Trace.span ~cat:"pm" ("pass:" ^ s.pass) (fun () ->
+          trace_pass_deltas ~before:s.before ~after:s.after s.detail))
+    stats
+
+let memoized_prefix ~verify ~compute prog profile prefix =
+  let key_profile = Profile.to_string profile in
+  let key_spec = Spec.to_string (List.map (fun (p : Pass.t) -> p.spec) prefix) in
+  let take () = take_entry ~prog ~profile:key_profile ~verify ~spec:key_spec !memo in
+  Mutex.lock memo_lock;
+  match take () with
+  | Some (e, others) ->
+    memo := e :: others;
+    Mutex.unlock memo_lock;
+    note_memo ~hit:true;
+    replay e.mstats;
+    (private_state e.mstate, e.mstats)
+  | None ->
+    Mutex.unlock memo_lock;
+    note_memo ~hit:false;
+    let st, stats = compute () in
+    let fresh =
+      {
+        mprog = prog;
+        mprofile = key_profile;
+        mverify = verify;
+        mspec = key_spec;
+        mstate = private_state st;
+        mstats = stats;
+      }
+    in
+    Mutex.lock memo_lock;
+    let e, others =
+      match take () with
+      | Some (e, others) -> (e, others)  (* another domain won the race *)
+      | None -> (fresh, !memo)
+    in
+    memo := truncate memo_capacity (e :: others);
+    Mutex.unlock memo_lock;
+    (st, stats)
+
+(* Splits after the last pass that can change the program or profile. *)
+let split_prefix passes =
+  let rec go suffix = function
+    | (p : Pass.t) :: rest when p.request_only -> go (p :: suffix) rest
+    | rev_prefix -> (List.rev rev_prefix, suffix)
+  in
+  go [] (List.rev passes)
+
 let run ?(verify = false) ?check prog profile passes =
   let t_start = Unix.gettimeofday () in
   let inspect prog =
     if verify then Validate.check_exn prog;
     Option.iter (fun f -> f prog) check
-  in
-  let state =
-    ref
-      {
-        Pass.prog;
-        profile = Profile.copy profile;
-        defenses = Pibe_harden.Pass.no_defenses;
-        rsb_refill = false;
-        provenance = Pibe_profile.Provenance.create ();
-      }
   in
   let run_args =
     if Trace.enabled () then
@@ -118,26 +268,19 @@ let run ?(verify = false) ?check prog profile passes =
     else []
   in
   Trace.span ~cat:"pm" "pm:run" ~args:run_args (fun () ->
-      let before = ref (snapshot prog) in
-      let stats =
-        List.map
-          (fun (p : Pass.t) ->
-            Trace.span ~cat:"pm" ("pass:" ^ Spec.elem_to_string p.spec) (fun () ->
-                let t0 = Unix.gettimeofday () in
-                let st, detail = p.run !state in
-                let wall_s = Unix.gettimeofday () -. t0 in
-                state := st;
-                inspect st.Pass.prog;
-                let after = snapshot st.Pass.prog in
-                trace_pass_deltas ~before:!before ~after detail;
-                let s =
-                  { pass = Spec.elem_to_string p.spec; wall_s; before = !before; after; detail }
-                in
-                before := after;
-                s))
-          passes
+      let prefix, suffix = split_prefix passes in
+      let compute () = run_passes ~inspect (initial_state prog profile) (snapshot prog) prefix in
+      let st, prefix_stats =
+        if prefix = [] then (initial_state prog profile, [])
+        else if check <> None then compute ()
+        else memoized_prefix ~verify ~compute prog profile prefix
       in
-      let st = !state in
+      let last stats ~default =
+        match List.rev stats with s :: _ -> s.after | [] -> default ()
+      in
+      let after_prefix = last prefix_stats ~default:(fun () -> snapshot prog) in
+      let st, suffix_stats = run_passes ~inspect st after_prefix suffix in
+      let final = last suffix_stats ~default:(fun () -> after_prefix) in
       let image =
         Trace.span ~cat:"pm" "pm:harden" (fun () ->
             let image =
@@ -147,8 +290,8 @@ let run ?(verify = false) ?check prog profile passes =
             if Trace.enabled () then
               Trace.counter ~cat:"pm" "hardened"
                 [
-                  ("icall_sites", Trace.Int (Program.total_icall_sites st.Pass.prog));
-                  ("ret_sites", Trace.Int (Program.total_ret_sites st.Pass.prog));
+                  ("icall_sites", Trace.Int final.icalls);
+                  ("ret_sites", Trace.Int final.rets);
                   ("image_bytes", Trace.Int (Pibe_harden.Pass.image_bytes image));
                 ];
             image)
@@ -158,7 +301,7 @@ let run ?(verify = false) ?check prog profile passes =
         image;
         profile = st.Pass.profile;
         provenance = st.Pass.provenance;
-        passes = stats;
+        passes = prefix_stats @ suffix_stats;
         wall_s = Unix.gettimeofday () -. t_start;
       })
 

@@ -4,7 +4,8 @@
 
     For every pass the manager records wall-clock time and an IR snapshot
     delta (functions, blocks, instructions, code bytes, remaining indirect
-    forward edges, remaining returns, remaining jump tables).  With
+    forward edges, remaining returns, remaining jump tables); the snapshot
+    is re-measured only when a pass returns a different program.  With
     [~verify:true] the IR validator runs between every pass (and on the
     final image); an optional [~check] hook — e.g. differential
     interpretation on a smoke workload — also runs after every pass.
@@ -61,7 +62,41 @@ val run :
   result
 (** The input profile is copied, never mutated.  [verify] defaults to
     false: release pipeline runs skip validation; tests and [--verify]
-    CLI runs turn it on. *)
+    CLI runs turn it on.
+
+    {b Prefix memo.}  The pass list splits after the last pass that is
+    not {!Pass.t.request_only}: the {e prefix} (ICP, inliners, cleanup,
+    [no-jump-tables], and any request passes placed before them) and the
+    request-only {e suffix} ([retpoline], [fineibt], [pac-ret], ...,
+    [rsb-refill]).  The pipeline state after the prefix is kept in a
+    process-wide, mutex-guarded LRU of {!memo_capacity} entries keyed on
+    - the input program's physical identity,
+    - the profile's canonical {!Pibe_profile.Profile.to_string} text,
+    - [verify],
+    - the prefix's canonical spec string.
+    On a hit only the suffix and the final hardening run.  A hit returns
+    fresh copies of the profile and provenance (no two results share
+    mutable state), the optimized program itself (immutable) shared, and
+    the prefix's recorded {!pass_stats} — so a replayed [wall_s] is the
+    time measured by the run that computed the pass.  It also replays the
+    prefix's [pass:*] spans with their [ir-delta]/[pass-detail] counters,
+    so {!Pibe_trace.Trace.canonical} is the same on a hit and a miss.
+    Hits and misses are counted ({!memo_stats}) and traced as
+    [pm-memo-hit]/[pm-memo-miss] in the ["sched"] category.  A run with
+    a [check] hook, or with an empty prefix, bypasses the memo: every
+    pass runs and [check] sees every intermediate program. *)
+
+type memo_stats = {
+  hits : int;
+  misses : int;
+  entries : int;  (** entries held now, never above {!memo_capacity} *)
+}
+
+val memo_capacity : int
+(** 8. *)
+
+val memo_stats : unit -> memo_stats
+(** Process-wide totals since start-up. *)
 
 val table : ?title:string -> pass_stats list -> Pibe_util.Tbl.t
 (** Per-pass stats rendered as an aligned table: wall-clock milliseconds,

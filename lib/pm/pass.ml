@@ -19,5 +19,6 @@ type detail =
 type t = {
   name : string;
   spec : Spec.elem;
+  request_only : bool;
   run : state -> state * detail;
 }

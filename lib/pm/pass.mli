@@ -38,5 +38,11 @@ type t = {
   spec : Spec.elem;
       (** the canonical spec element this instance prints back to
           (round-trips through {!Spec.of_string}) *)
+  request_only : bool;
+      (** [true] when [run] only adds to the hardening request
+          ([defenses], [rsb_refill]) and hands [prog], [profile] and
+          [provenance] back physically unchanged.  The manager memoizes
+          the pipeline state up to the last pass that is not request-only
+          (see {!Manager.run}). *)
   run : state -> state * detail;
 }

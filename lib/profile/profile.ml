@@ -221,31 +221,51 @@ let to_string t =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let of_string text =
+exception Malformed of int * string
+
+let read ~allow_negative text =
   let t = create () in
-  let lines = String.split_on_char '\n' text in
-  let fail line = failwith ("Profile.of_string: malformed line: " ^ line) in
-  let parse_name tok line =
-    if String.length tok >= 2 && tok.[0] = '@' then String.sub tok 1 (String.length tok - 1)
-    else fail line
+  let malformed lnum line = raise (Malformed (lnum, "malformed line: " ^ line)) in
+  let count lnum line c =
+    match int_of_string_opt c with
+    | None -> malformed lnum line
+    | Some n when n < 0 && not allow_negative -> raise (Malformed (lnum, "negative count: " ^ line))
+    | Some n -> n
   in
-  List.iter
-    (fun raw ->
-      let line = String.trim raw in
-      if line = "" || line = "profile {" || line = "}" then ()
-      else
-        match String.split_on_char ' ' line with
-        | [ "entry"; name; "="; c ] ->
-          add_entry t ~func:(parse_name name line)
-            ~count:(try int_of_string c with Failure _ -> fail line)
-        | [ "direct"; o; "="; c ] -> (
-          try add_direct t ~origin:(int_of_string o) ~count:(int_of_string c)
-          with Failure _ -> fail line)
-        | [ "vp"; o; name; "="; c ] -> (
-          try
-            add_indirect t ~origin:(int_of_string o) ~target:(parse_name name line)
-              ~count:(int_of_string c)
-          with Failure _ -> fail line)
-        | _ -> fail line)
-    lines;
-  t
+  let int lnum line tok = match int_of_string_opt tok with Some i -> i | None -> malformed lnum line in
+  let name lnum line tok =
+    if String.length tok >= 2 && tok.[0] = '@' then String.sub tok 1 (String.length tok - 1)
+    else malformed lnum line
+  in
+  match
+    List.iteri
+      (fun i raw ->
+        let lnum = i + 1 in
+        let line = String.trim raw in
+        if line = "" || line = "profile {" || line = "}" then ()
+        else
+          match String.split_on_char ' ' line with
+          | [ "entry"; f; "="; c ] ->
+            let func = name lnum line f in
+            add_entry t ~func ~count:(count lnum line c)
+          | [ "direct"; o; "="; c ] ->
+            let origin = int lnum line o in
+            add_direct t ~origin ~count:(count lnum line c)
+          | [ "vp"; o; target; "="; c ] ->
+            let origin = int lnum line o in
+            let target = name lnum line target in
+            add_indirect t ~origin ~target ~count:(count lnum line c)
+          | _ -> malformed lnum line)
+      (String.split_on_char '\n' text)
+  with
+  | () -> Ok t
+  | exception Malformed (lnum, reason) -> Error (lnum, reason)
+
+let parse text = read ~allow_negative:false text
+
+(* The exact inverse of [to_string], which prints whatever a profile
+   holds — a counter that overflowed included. *)
+let of_string text =
+  match read ~allow_negative:true text with
+  | Ok t -> t
+  | Error (_, reason) -> failwith ("Profile.of_string: " ^ reason)

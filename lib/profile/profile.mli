@@ -95,5 +95,13 @@ val match_to :
 (** {2 Persistence} *)
 
 val to_string : t -> string
+
+val parse : string -> (t, int * string) result
+(** Reads a profile file in the {!to_string} form, for input from outside
+    the process.  [Error (line, reason)] names the first bad line
+    (1-based) and why: a malformed record or a negative count. *)
+
 val of_string : string -> t
-(** Raises [Failure] on malformed input. *)
+(** The inverse of {!to_string}: like {!parse}, but accepts negative
+    counts (an overflowed counter prints as one) and raises [Failure] on
+    a malformed line. *)

@@ -47,6 +47,11 @@ type instance = {
 type t
 
 val create : unit -> t
+
+val copy : t -> t
+(** An independent copy: recording into either one never shows in the
+    other. *)
+
 val is_empty : t -> bool
 
 val record_inline :

@@ -21,4 +21,5 @@ let () =
       ("core", Test_core.suite);
       ("measure", Test_measure.suite);
       ("experiments", Test_experiments.suite);
+      ("cli", Test_cli.suite);
     ]

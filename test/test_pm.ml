@@ -275,6 +275,176 @@ let test_profile_copy_is_independent () =
   Alcotest.(check bool) "the copy really was mutated" true
     (not (String.equal before (Profile.to_string copy)))
 
+
+(* ------------------------------------------------------------------ *)
+(* Optimization-prefix memo                                            *)
+(* ------------------------------------------------------------------ *)
+
+let passes_of_config config =
+  match Registry.of_spec (Pibe.Pipeline.spec_of_config config) with
+  | Ok passes -> passes
+  | Error e -> Alcotest.failf "config does not resolve: %s" e
+
+(* A [check] hook bypasses the memo, so this always runs every pass. *)
+let cold_run prog profile passes = Manager.run ~check:ignore prog profile passes
+
+(* Which defense each site got, plus the CFI landing pads: the parts of
+   an image the printer does not show. *)
+let protection_lines (img : Pass.image) =
+  let lines tbl key name =
+    List.sort compare (Hashtbl.fold (fun k v acc -> (key k ^ " " ^ name v) :: acc) tbl [])
+  in
+  let pads =
+    match img.Pass.cfi with
+    | None -> []
+    | Some cfi -> List.filter (Pibe_harden.Cfi.has_pad cfi) (Pibe_ir.Program.layout_order img.Pass.prog)
+  in
+  ("fwd" :: lines img.Pass.fwd string_of_int Pibe_ir.Protection.forward_name)
+  @ ("bwd" :: lines img.Pass.bwd Fun.id Pibe_ir.Protection.backward_name)
+  @ ("pads" :: pads)
+
+let check_same_image label (expected : Pass.image) (got : Pass.image) =
+  Alcotest.(check string) (label ^ ": printer text")
+    (Pibe_ir.Printer.program_to_string expected.Pass.prog)
+    (Pibe_ir.Printer.program_to_string got.Pass.prog);
+  Alcotest.(check (list string)) (label ^ ": protection tables") (protection_lines expected)
+    (protection_lines got);
+  Alcotest.(check int) (label ^ ": image bytes") (Pass.image_bytes expected) (Pass.image_bytes got)
+
+let memo_delta f =
+  let s0 = Manager.memo_stats () in
+  let r = f () in
+  let s1 = Manager.memo_stats () in
+  (r, s1.Manager.hits - s0.Manager.hits, s1.Manager.misses - s0.Manager.misses)
+
+let test_memo_hit_equals_cold () =
+  let env = Helpers.env () in
+  let prog = (Pibe.Env.info env).Pibe_kernel.Gen.prog in
+  let profile = Pibe.Env.lmbench_profile env in
+  List.iter
+    (fun (dname, d) ->
+      List.iter
+        (fun (fe, config) ->
+          let label = dname ^ "/" ^ fe in
+          let passes = passes_of_config config in
+          ignore (Manager.run prog profile passes);
+          let hit, hits, misses = memo_delta (fun () -> Manager.run prog profile passes) in
+          Alcotest.(check (pair int int)) (label ^ ": second run hits") (1, 0) (hits, misses);
+          let cold = cold_run prog profile passes in
+          check_same_image label cold.Manager.image hit.Manager.image;
+          Alcotest.(check string) (label ^ ": profile")
+            (Profile.to_string cold.Manager.profile) (Profile.to_string hit.Manager.profile);
+          Alcotest.(check string) (label ^ ": provenance")
+            (Pibe_profile.Provenance.to_string cold.Manager.provenance)
+            (Pibe_profile.Provenance.to_string hit.Manager.provenance);
+          Alcotest.(check (list string)) (label ^ ": pass rows")
+            (List.map (fun (s : Manager.pass_stats) -> s.Manager.pass) cold.Manager.passes)
+            (List.map (fun (s : Manager.pass_stats) -> s.Manager.pass) hit.Manager.passes))
+        [ ("LTO", Pibe.Exp_common.lto_with d); ("PIBE-PGO", Pibe.Exp_common.best_config d) ])
+    Pibe.Exp_frontier.defense_sets
+
+(* A result owns its profile and provenance: mutating one must not leak
+   into the memo or into a later result. *)
+let test_memo_results_share_no_state () =
+  let env = Helpers.env () in
+  let prog = (Pibe.Env.info env).Pibe_kernel.Gen.prog in
+  let profile = Pibe.Env.lmbench_profile env in
+  let passes = passes_of_config (Pibe.Exp_common.best_config Pibe.Exp_common.all_defenses) in
+  let first = Manager.run prog profile passes in
+  Profile.add_direct first.Manager.profile ~origin:(-7) ~count:12345;
+  Pibe_profile.Provenance.record_promotion first.Manager.provenance ~promoted_origin:(-8)
+    ~origin:(-9) ~target:"mutated";
+  let later, hits, _ = memo_delta (fun () -> Manager.run prog profile passes) in
+  Alcotest.(check int) "later run hits" 1 hits;
+  let cold = cold_run prog profile passes in
+  check_same_image "later" cold.Manager.image later.Manager.image;
+  Alcotest.(check string) "later profile equals a cold build's"
+    (Profile.to_string cold.Manager.profile) (Profile.to_string later.Manager.profile);
+  Alcotest.(check string) "later provenance equals a cold build's"
+    (Pibe_profile.Provenance.to_string cold.Manager.provenance)
+    (Pibe_profile.Provenance.to_string later.Manager.provenance)
+
+let test_memo_profile_mutation_misses () =
+  let env = Helpers.env () in
+  let prog = (Pibe.Env.info env).Pibe_kernel.Gen.prog in
+  let profile = Profile.copy (Pibe.Env.lmbench_profile env) in
+  let config = Pibe.Exp_common.best_config Pibe.Exp_common.fineibt_pac in
+  ignore (Pibe.Pipeline.build prog profile config);
+  (* make one indirect site's runner-up target dominate *)
+  let origin, target =
+    List.find_map
+      (fun origin ->
+        match Profile.value_profile profile ~origin with
+        | _ :: (t, _) :: _ -> Some (origin, t)
+        | _ -> None)
+      (Profile.profiled_indirect_origins profile)
+    |> Option.get
+  in
+  Profile.add_indirect profile ~origin ~target ~count:1_000_000;
+  let built, hits, misses = memo_delta (fun () -> Pibe.Pipeline.build prog profile config) in
+  Alcotest.(check (pair int int)) "mutated profile misses" (0, 1) (hits, misses);
+  let cold = cold_run prog profile (passes_of_config config) in
+  check_same_image "after mutation" cold.Manager.image built.Pibe.Pipeline.image
+
+let test_memo_check_hook_sees_every_pass () =
+  let env = Helpers.env () in
+  let prog = (Pibe.Env.info env).Pibe_kernel.Gen.prog in
+  let profile = Pibe.Env.lmbench_profile env in
+  let passes = passes_of_config (Pibe.Exp_common.best_config Pibe.Exp_common.all_defenses) in
+  ignore (Manager.run prog profile passes);
+  let calls = ref 0 in
+  let _, hits, misses =
+    memo_delta (fun () -> Manager.run ~check:(fun _ -> incr calls) prog profile passes)
+  in
+  Alcotest.(check int) "check ran after every pass" (List.length passes) !calls;
+  Alcotest.(check (pair int int)) "check runs bypass the memo" (0, 0) (hits, misses)
+
+let test_memo_racing_domains () =
+  (* a freshly generated kernel is a physically new program: a cold key *)
+  let prog = (Pibe_kernel.Gen.generate { Pibe_kernel.Ctx.seed = 42; scale = 1 }).Pibe_kernel.Gen.prog in
+  let profile = Pibe.Env.lmbench_profile (Helpers.env ()) in
+  let passes = passes_of_config (Pibe.Exp_common.best_config Pibe.Exp_common.all_defenses) in
+  let images, hits, misses =
+    memo_delta (fun () ->
+        List.init 4 (fun _ -> Domain.spawn (fun () -> (Manager.run prog profile passes).Manager.image))
+        |> List.map Domain.join)
+  in
+  Alcotest.(check int) "every run counted once" 4 (hits + misses);
+  Alcotest.(check bool) "at least one miss" true (misses >= 1);
+  let first = List.hd images in
+  List.iteri (fun i img -> check_same_image (Printf.sprintf "domain %d" i) first img) images;
+  Alcotest.(check bool) "capacity respected" true
+    ((Manager.memo_stats ()).Manager.entries <= Manager.memo_capacity)
+
+let test_memo_stats_and_capacity () =
+  let env = Helpers.env () in
+  let prog = (Pibe.Env.info env).Pibe_kernel.Gen.prog in
+  let profile = Pibe.Env.lmbench_profile env in
+  let spec i = Printf.sprintf "icp(budget=%d.5),cleanup,retpoline" (80 + i) in
+  let run i =
+    match Spec.of_string (spec i) with
+    | Error e -> Alcotest.failf "bad spec: %s" e
+    | Ok s -> (
+      match Pibe.Pipeline.run_spec prog profile s with
+      | Ok r -> r
+      | Error e -> Alcotest.failf "run_spec: %s" e)
+  in
+  let n = Manager.memo_capacity + 2 in
+  for i = 0 to n - 1 do
+    let _, hits, misses = memo_delta (fun () -> run i) in
+    Alcotest.(check (pair int int)) (spec i ^ " is new") (0, 1) (hits, misses);
+    Alcotest.(check bool) "never above capacity" true
+      ((Manager.memo_stats ()).Manager.entries <= Manager.memo_capacity)
+  done;
+  let _, hits, misses = memo_delta (fun () -> run (n - 1)) in
+  Alcotest.(check (pair int int)) "most recent key hits" (1, 0) (hits, misses);
+  let _, hits, misses = memo_delta (fun () -> run 0) in
+  Alcotest.(check (pair int int)) "least recent key was evicted" (0, 1) (hits, misses);
+  Alcotest.(check int) "full" Manager.memo_capacity (Manager.memo_stats ()).Manager.entries;
+  (* an empty prefix has nothing to memoize *)
+  let _, hits, misses = memo_delta (fun () -> Manager.run prog profile []) in
+  Alcotest.(check (pair int int)) "empty prefix bypasses the memo" (0, 0) (hits, misses)
+
 let suite =
   [
     Helpers.qcheck_to_alcotest prop_spec_round_trip;
@@ -288,4 +458,10 @@ let suite =
     ("manager matches the seed pipeline", `Slow, test_manager_matches_legacy_pipeline);
     ("run_spec reports unknown passes", `Quick, test_manager_run_spec_errors);
     ("profile copy is independent", `Quick, test_profile_copy_is_independent);
+    ("memo hit equals a cold build", `Slow, test_memo_hit_equals_cold);
+    ("memo results share no state", `Quick, test_memo_results_share_no_state);
+    ("memo misses on a mutated profile", `Quick, test_memo_profile_mutation_misses);
+    ("memo check hook sees every pass", `Quick, test_memo_check_hook_sees_every_pass);
+    ("memo racing domains agree", `Quick, test_memo_racing_domains);
+    ("memo stats and capacity", `Quick, test_memo_stats_and_capacity);
   ]

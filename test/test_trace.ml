@@ -226,7 +226,22 @@ let test_canonical_jobs_invariant () =
   in
   let c1 = run 1 and c4 = run 4 in
   Alcotest.(check bool) "canonical stream non-empty" true (c1 <> []);
-  Alcotest.(check (list string)) "canonical content identical at jobs 1 and 4" c1 c4
+  Alcotest.(check (list string)) "canonical content identical at jobs 1 and 4" c1 c4;
+  (* a pipeline-memo hit replays the prefix's spans and counters: the same
+     spec run cold and then warm yields the same canonical stream *)
+  let spec = "icp(budget=98.25),inline(budget=98.25),cleanup,ret-retpoline" in
+  let traced_once () =
+    let s0 = Pibe_pm.Manager.memo_stats () in
+    let c = Trace.canonical (collect (fun () -> traced_build spec)) in
+    let s1 = Pibe_pm.Manager.memo_stats () in
+    (c, s1.Pibe_pm.Manager.hits - s0.Pibe_pm.Manager.hits,
+     s1.Pibe_pm.Manager.misses - s0.Pibe_pm.Manager.misses)
+  in
+  let miss, mh, mm = traced_once () in
+  let hit, hh, hm = traced_once () in
+  Alcotest.(check (pair int int)) "first run misses" (0, 1) (mh, mm);
+  Alcotest.(check (pair int int)) "second run hits" (1, 0) (hh, hm);
+  Alcotest.(check (list string)) "canonical content identical on a miss and a hit" miss hit
 
 let suite =
   [

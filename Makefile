@@ -1,4 +1,4 @@
-.PHONY: all build test check docs bench bench-smoke bench-smoke-fleet bench-smoke-frontier bench-smoke-stale parity clean
+.PHONY: all build test check check-bounds docs bench bench-smoke bench-smoke-fleet bench-smoke-frontier bench-smoke-stale parity clean
 
 all: build
 
@@ -17,8 +17,9 @@ test:
 # validation on (traced, so the trace layer stays wired end to end), a
 # one-window continuous-profiling smoke on the tiny kernel, the fleet,
 # frontier and stale/fixpoint jobs-invariance smokes, a dispatch-floor
-# microbenchmark smoke (tier table prints end to end), and the
-# cross-backend parity smoke (see `parity`).
+# microbenchmark smoke (tier table prints end to end), the
+# cross-backend parity smoke (see `parity`), and the checked-build leg
+# (see `check-bounds`).
 check:
 	dune build
 	dune runtest
@@ -33,6 +34,27 @@ check:
 	$(MAKE) bench-smoke-stale
 	dune exec bench/dispatch_bench.exe -- --quick
 	$(MAKE) parity
+	$(MAKE) check-bounds
+
+# Checked-build leg (part of `check`): pibe_cpu rebuilt without -unsafe
+# (the `checked` dune profile, in its own build dir under _build/), then
+# the backend differential suite and one parity diff — the tiered
+# compiled backend against the interpreter on the parity workload.  An
+# out-of-range register or frame index raises here instead of silently
+# reading or corrupting memory in the default build.  Explicit
+# Array.unsafe_* calls stay unchecked in both builds.
+CHECKED = dune exec --build-dir $(CURDIR)/_build/checked --profile checked
+check-bounds:
+	mkdir -p $(SCRATCH)
+	$(CHECKED) test/main.exe -- test backend
+	$(CHECKED) bench/main.exe -- --quick --table 5 --online --frontier --stale --jobs 2 \
+	  --engine compiled --tierup 4 --callfuse 2 --tier3 8 > $(SCRATCH)/checked_compiled.raw
+	$(CHECKED) bench/main.exe -- --quick --table 5 --online --frontier --stale --jobs 2 \
+	  --engine interp > $(SCRATCH)/checked_interp.raw
+	sed '/^\[bench harness finished/d' $(SCRATCH)/checked_compiled.raw > $(SCRATCH)/checked_compiled.txt
+	sed '/^\[bench harness finished/d' $(SCRATCH)/checked_interp.raw > $(SCRATCH)/checked_interp.txt
+	cmp $(SCRATCH)/checked_compiled.txt $(SCRATCH)/checked_interp.txt
+	@echo "check-bounds: backend suite and tiered-vs-interp parity pass with bounds checks on"
 
 # Cross-backend parity smoke: the bench-smoke workload once per
 # execution backend, outputs diffed byte-for-byte (only the wall-clock

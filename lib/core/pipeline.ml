@@ -20,13 +20,7 @@ module Trace = Pibe_trace.Trace
 let profile prog ~run =
   Trace.span ~cat:"core" "pipeline:profile" (fun () ->
       let collector = Pibe_profile.Collector.create prog in
-      let config =
-        {
-          Pibe_cpu.Engine.default_config with
-          Pibe_cpu.Engine.on_edge = Some (Pibe_profile.Collector.hook collector);
-          on_entry = Some (Pibe_profile.Collector.hook_entry collector);
-        }
-      in
+      let config = Pibe_profile.Collector.instrument collector Pibe_cpu.Engine.default_config in
       let engine = Pibe_cpu.Engine.create ~config prog in
       run engine;
       Pibe_cpu.Engine.trace_counters ~cat:"core" ~name:"engine:profile-run" engine;
@@ -107,11 +101,7 @@ let profile_built built ~run =
       let prog = built.image.Pibe_harden.Pass.prog in
       let collector = Pibe_profile.Collector.create ~provenance:built.provenance prog in
       let config =
-        {
-          (Pibe_harden.Pass.engine_config built.image) with
-          Pibe_cpu.Engine.on_edge = Some (Pibe_profile.Collector.hook collector);
-          on_entry = Some (Pibe_profile.Collector.hook_entry collector);
-        }
+        Pibe_profile.Collector.instrument collector (Pibe_harden.Pass.engine_config built.image)
       in
       let engine = Pibe_cpu.Engine.create ~config prog in
       run engine;

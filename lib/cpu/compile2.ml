@@ -248,14 +248,22 @@ let zeroset_of (cf : cfunc) : int array =
      the registers read before any in-block write (sparse — live sets
      stay tiny even in functions with huge register files, which is what
      keeps this affordable on aggressively inlined images), [def] the
-     registers the block writes. *)
+     registers the block writes, as a sorted array.  [written] marks the
+     current block's writes and is cleared after each block: one scratch
+     byte per register for the whole function instead of a hash table
+     per block, most of which the minor GC used to promote on big
+     images.  A register outside [0, nregs) (hand-built IR only) is
+     never marked: it stays live, and the result drops it below. *)
+  let nregs = cf.f.nregs in
+  let written = Bytes.make (max nregs 0) '\000' in
+  let marked r = r >= 0 && r < nregs && Bytes.get written r <> '\000' in
   let gens = Array.make nblocks RS.empty in
-  let defs = Array.make nblocks (Hashtbl.create 0) in
+  let defs = Array.make nblocks [||] in
   for l = 0 to nblocks - 1 do
     let b = blocks.(l) in
-    let def : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+    let def = ref [] in
     let gen = ref RS.empty in
-    let use r = if not (Hashtbl.mem def r) then gen := RS.add r !gen in
+    let use r = if not (marked r) then gen := RS.add r !gen in
     let use_op = function Imm _ -> () | Reg r -> use r in
     let use_expr = function
       | Const _ -> ()
@@ -264,7 +272,12 @@ let zeroset_of (cf : cfunc) : int array =
         use_op a;
         use_op b
     in
-    let write r = Hashtbl.replace def r () in
+    let write r =
+      if r >= 0 && r < nregs && not (marked r) then begin
+        Bytes.set written r '\001';
+        def := r :: !def
+      end
+    in
     Array.iter
       (fun i ->
         match i with
@@ -289,14 +302,26 @@ let zeroset_of (cf : cfunc) : int array =
     | Br (c, _, _) -> use_op c
     | Switch { scrutinee; _ } -> use_op scrutinee
     | Ret (Some v) -> use_op v);
+    List.iter (fun r -> Bytes.set written r '\000') !def;
+    let def = Array.of_list !def in
+    Array.sort Int.compare def;
     gens.(l) <- !gen;
     defs.(l) <- def
   done;
+  let defined def r =
+    let rec go lo hi =
+      lo < hi
+      &&
+      let mid = (lo + hi) lsr 1 in
+      let v = def.(mid) in
+      v = r || if v < r then go (mid + 1) hi else go lo mid
+    in
+    go 0 (Array.length def)
+  in
   (* Worklist fixpoint over the block summaries:
      live_in = gen ∪ (live_out − def).  A block is revisited only when
      the live-in of a successor changed. *)
   let live_in = Array.make nblocks RS.empty in
-  let live_out = Array.make nblocks RS.empty in
   let preds = Array.make nblocks [] in
   for l = 0 to nblocks - 1 do
     List.iter
@@ -321,11 +346,8 @@ let zeroset_of (cf : cfunc) : int array =
           RS.empty
           (Func.successors blocks.(l).cterm)
       in
-      live_out.(l) <- out;
       let def = defs.(l) in
-      let inn =
-        RS.union gens.(l) (RS.filter (fun r -> not (Hashtbl.mem def r)) out)
-      in
+      let inn = RS.union gens.(l) (RS.filter (fun r -> not (defined def r)) out) in
       if not (RS.equal inn live_in.(l)) then begin
         live_in.(l) <- inn;
         List.iter
@@ -337,7 +359,11 @@ let zeroset_of (cf : cfunc) : int array =
           preds.(l)
       end
   done;
-  Array.of_list (RS.elements live_in.(cf.f.entry))
+  (* A register outside [0, nregs) can only come from hand-built IR
+     that [func_valid] rejects (such a function raises on entry); the
+     call paths zero this set into a frame only [frame_len] long. *)
+  Array.of_list
+    (List.filter (fun r -> r >= 0 && r < nregs) (RS.elements live_in.(cf.f.entry)))
 
 (* Zero the zeroset slots at index >= [n] (the written argument prefix)
    of a pooled frame. *)
@@ -353,8 +379,9 @@ let[@inline] zero_tail (zs : int array) n (fr : int array) =
    static register index is validated once per function at
    closure-construction time ([func_valid] in [make_prog] — Builder and
    Validate both enforce the same bounds, so real programs always pass),
-   and every pooled frame/taint file has length >= the program-wide
-   [max_regs] >= the function's [nregs].  Global-memory accesses keep
+   and every pooled frame/taint file an activation runs in is at least
+   its function's [frame_len] >= [nregs] long (the frame sizing
+   invariant in [Machine]).  Global-memory accesses keep
    their explicit bounds check against the baked [mem_len] (the fault
    path is observable semantics) and go unchecked only after it.  A
    function with an out-of-range static index or block label lowers to a
@@ -988,6 +1015,7 @@ let ccall ~spec c2by_id (caller : cfunc) ~dst ~callee_name ~callee_id
     let callee_cf = callee2.c2 in
     let argv, zs_tail = direct_call_frame callee2 args in
     let nargs = Array.length argv in
+    let flen = callee_cf.frame_len in
     let dst_r = dst_reg dst in
     if spec then
       (fun t ->
@@ -1005,7 +1033,7 @@ let ccall ~spec c2by_id (caller : cfunc) ~dst ~callee_name ~callee_id
         (* Write the argument prefix, zero only the entry-live tail: the
            prefix is about to be overwritten anyway, and registers dead
            on entry never surface their stale contents. *)
-        let callee_regs = raw_frame t ~depth:(depth + 1) in
+        let callee_regs = raw_frame t ~depth:(depth + 1) ~len:flen in
         for i = 0 to nargs - 1 do
           Array.unsafe_set callee_regs i ((Array.unsafe_get argv i) regs)
         done;
@@ -1034,7 +1062,7 @@ let ccall ~spec c2by_id (caller : cfunc) ~dst ~callee_name ~callee_id
         Rsb.push t.trsb caller_id;
         let regs = t.cur_regs in
         let depth = t.cur_depth and rt = t.cur_ret_to in
-        let callee_regs = raw_frame t ~depth:(depth + 1) in
+        let callee_regs = raw_frame t ~depth:(depth + 1) ~len:flen in
         for i = 0 to nargs - 1 do
           Array.unsafe_set callee_regs i ((Array.unsafe_get argv i) regs)
         done;
@@ -1087,7 +1115,7 @@ let cicall ~spec ~asm c2by_id (caller : cfunc) ~dst ~fptr ~(args : operand array
     let callee_cf = callee2.c2 in
     enter_code t callee_cf;
     Rsb.push t.trsb caller_id;
-    let callee_regs = raw_frame t ~depth:(depth + 1) in
+    let callee_regs = raw_frame t ~depth:(depth + 1) ~len:callee_cf.frame_len in
     (* integer min by hand: the polymorphic version costs a C call per
        indirect transfer *)
     let n = if callee_cf.f.params < nargs then callee_cf.f.params else nargs in
@@ -1245,6 +1273,7 @@ let build_fused ~spec (p : prog) (caller : cfunc) ~dst ~callee_id ~site
   let dnss = Array.map (fun s -> s + 1) dnss0 in
   let argv, zs_tail = direct_call_frame callee2 args in
   let nargs = Array.length argv in
+  let flen = callee_cf.frame_len in
   let dst_r = dst_reg dst in
   let read_ret : int array -> int option =
     match chain with
@@ -1286,7 +1315,7 @@ let build_fused ~spec (p : prog) (caller : cfunc) ~dst ~callee_id ~site
         Rsb.push t.trsb caller_id;
         let regs = t.cur_regs and taint = t.cur_taint in
         let depth = t.cur_depth in
-        let cregs = raw_frame t ~depth:(depth + 1) in
+        let cregs = raw_frame t ~depth:(depth + 1) ~len:flen in
         for i = 0 to nargs - 1 do
           Array.unsafe_set cregs i ((Array.unsafe_get argv i) regs)
         done;
@@ -1294,7 +1323,7 @@ let build_fused ~spec (p : prog) (caller : cfunc) ~dst ~callee_id ~site
         Array.unsafe_set t.tier_counts callee_id
           (Array.unsafe_get t.tier_counts callee_id + 1);
         enter_frame t callee_cf;
-        let ctaint = raw_taint_frame t ~depth:(depth + 1) in
+        let ctaint = raw_taint_frame t ~depth:(depth + 1) ~len:flen in
         for i = 0 to nzs - 1 do
           Array.unsafe_set ctaint (Array.unsafe_get zs i) None
         done;
@@ -1336,7 +1365,7 @@ let build_fused ~spec (p : prog) (caller : cfunc) ~dst ~callee_id ~site
       emit_edge t site caller_name callee_name Edge_direct;
       enter_code t callee_cf;
       Rsb.push t.trsb caller_id;
-      let cregs = raw_frame t ~depth:(depth + 1) in
+      let cregs = raw_frame t ~depth:(depth + 1) ~len:flen in
       for i = 0 to nargs - 1 do
         Array.unsafe_set cregs i ((Array.unsafe_get argv i) regs)
       done;
@@ -3108,13 +3137,14 @@ let lower_fexec ~spec ~tier ?stats (p : prog) (c2f : cfunc2) : fexec =
   let entry = cf.f.entry in
   if spec then begin
     let zs = c2f.zeroset in
+    let flen = cf.frame_len in
     fun t ->
       enter_frame t cf;
       (* The caller never writes the callee's taint file, so every
          entry-live slot must be [None]-ed — but only those: stale taint
          on registers that are dead on entry is unobservable, by the
          same liveness argument as the value frame. *)
-      let taint = raw_taint_frame t ~depth:t.cur_depth in
+      let taint = raw_taint_frame t ~depth:t.cur_depth ~len:flen in
       for i = 0 to Array.length zs - 1 do
         Array.unsafe_set taint (Array.unsafe_get zs i) None
       done;
@@ -3358,7 +3388,7 @@ let compile_tiered (cv : Machine.compiled) ~mem_len ~callfuse : prog =
 let entry (p : prog) : Machine.t -> cfunc -> int list -> int option =
  fun t cf args ->
   let c2 = p.c2by_id.(cf.id) in
-  let regs = raw_frame t ~depth:0 in
+  let regs = raw_frame t ~depth:0 ~len:cf.frame_len in
   let params = cf.f.params in
   let rec write i = function
     | v :: rest when i < params ->

@@ -16,8 +16,8 @@
     threshold is a pure performance knob.
 
     Compilation output — the {!Machine.compiled} view plus the closure
-    program — is cached in a small LRU keyed on (physical program
-    identity x tier x speculation variant), so alternating over a
+    program — is cached in a small LRU keyed on (program identity x
+    tier x speculation variant), held weakly, so alternating over a
     working set of programs (the online dual replay's deployed/pristine
     pair, attack drills over several images) compiles each program
     exactly once per configuration, and a tiered recompile can never
@@ -130,24 +130,35 @@ let default_tier3 () = Atomic.get default_tier3_cell
    wide sweeps.  Guarded by a mutex because engines are created from
    worker domains too; a miss compiles outside the lock (duplicated work
    is pure), and a racing domain's finished entry is adopted over our
-   own. *)
+   own.
 
-(* An entry is keyed on (physical program x tier x speculation variant):
+   Entries hold their program only weakly, keyed on its [uid]: once
+   nothing else references a program (the online loop drops every image
+   it deploys or rebuilds), the next cache access finds the weak pointer
+   empty and releases the compiled view and closures, instead of
+   keeping about 10 MB per image live until 64 newer entries push it
+   out.  The released entry keeps its LRU slot until evicted in order,
+   and a dead program's uid can never be looked up again, so hits,
+   misses and evictions are exactly those of a cache holding every
+   program.  Lookups compare uids and test liveness with [Weak.check]:
+   [Weak.get] on a dead program during marking would revive it. *)
+
+(* An entry is keyed on (program uid x tier x speculation variant):
    tiered closure programs carry per-function fused bodies and a counting
    dispatcher the baseline must not pay for, and speculation-on engines
    link the taint-threading closure variants — so the three axes get
    separate entries and can never evict each other's lowering work
    (pinned by the tier-keying regression test in test_backend.ml). *)
 type cache_entry = {
-  cprog : Program.t;
+  cuid : int;
+  cprog : Program.t Weak.t;  (* one cell *)
   ctiered : bool;
   cspec : bool;
   ccallfuse : int;
       (* the callfuse threshold is baked into lowering (it decides which
          call seams fuse), so it is part of the key; the tier-up and
          tier-3 thresholds stay per-engine and share one entry *)
-  cview : compiled;
-  cclosures : Compile2.prog;
+  mutable cdata : (compiled * Compile2.prog) option;  (* [None] once the program died *)
 }
 
 let cache_capacity = 64
@@ -175,24 +186,32 @@ let rec truncate n = function
 (* Splits out the entry for [prog] under the given tier/spec key, if
    cached: (entry, others). *)
 let take_entry prog ~tiered ~spec ~callfuse entries =
+  let uid = prog.Program.uid in
   let rec go acc = function
     | [] -> None
-    | e :: rest
-      when e.cprog == prog && e.ctiered = tiered && e.cspec = spec
-           && e.ccallfuse = callfuse ->
-      Some (e, List.rev_append acc rest)
+    | ({ cdata = Some data; _ } as e) :: rest
+      when e.cuid = uid && e.ctiered = tiered && e.cspec = spec && e.ccallfuse = callfuse ->
+      Some (e, data, List.rev_append acc rest)
     | e :: rest -> go (e :: acc) rest
   in
   go [] entries
 
+(* Drops the compiled data of entries whose program is gone.  Called
+   under [compile_lock]. *)
+let release_dead entries =
+  List.iter
+    (fun e -> if e.cdata <> None && not (Weak.check e.cprog 0) then e.cdata <- None)
+    entries
+
 let entry_for prog ~tiered ~spec ~callfuse =
   Mutex.lock compile_lock;
+  release_dead !cache;
   match take_entry prog ~tiered ~spec ~callfuse !cache with
-  | Some (e, others) ->
+  | Some (e, data, others) ->
     cache := e :: others;
     Mutex.unlock compile_lock;
     note_cache ~hit:true;
-    e
+    data
   | None ->
     Mutex.unlock compile_lock;
     note_cache ~hit:false;
@@ -204,17 +223,23 @@ let entry_for prog ~tiered ~spec ~callfuse =
             if tiered then Compile2.compile_tiered cview ~mem_len ~callfuse
             else Compile2.compile cview ~mem_len
           in
-          { cprog = prog; ctiered = tiered; cspec = spec; ccallfuse = callfuse; cview; cclosures })
+          (cview, cclosures))
     in
     Mutex.lock compile_lock;
-    let e, others =
+    let e, data, others =
       match take_entry prog ~tiered ~spec ~callfuse !cache with
-      | Some (e, others) -> (e, others)  (* another domain won the race *)
-      | None -> (fresh, !cache)
+      | Some (e, data, others) -> (e, data, others)  (* another domain won the race *)
+      | None ->
+        let cprog = Weak.create 1 in
+        Weak.set cprog 0 (Some prog);
+        ( { cuid = prog.Program.uid; cprog; ctiered = tiered; cspec = spec;
+            ccallfuse = callfuse; cdata = Some fresh },
+          fresh,
+          !cache )
     in
     cache := truncate cache_capacity (e :: others);
     Mutex.unlock compile_lock;
-    e
+    data
 
 (* ------------------------ construction ------------------------- *)
 
@@ -244,8 +269,7 @@ let create ?(config = default_config) ?backend ?tierup ?callfuse ?tier3 prog =
       match tier3 with Some n -> max 0 n | None -> Atomic.get default_tier3_cell
   in
   let spec = config.speculation <> None in
-  let entry = entry_for prog ~tiered ~spec ~callfuse in
-  let compiled = entry.cview in
+  let compiled, closures = entry_for prog ~tiered ~spec ~callfuse in
   let n = Array.length compiled.cby_id in
   {
     prog;
@@ -278,7 +302,6 @@ let create ?(config = default_config) ?backend ?tierup ?callfuse ?tier3 prog =
         stack_bytes = 0;
         peak_stack_bytes = 0;
       };
-    max_regs = compiled.cmax_regs;
     backend;
     tier_threshold = (if tiered then tierup else 0);
     tier_counts = (if tiered then Array.make n 0 else [||]);
@@ -288,12 +311,11 @@ let create ?(config = default_config) ?backend ?tierup ?callfuse ?tier3 prog =
       (match backend with
       | Interp -> fun () -> []
       | Compiled ->
-        let closures = entry.cclosures in
         fun () -> Compile2.prog_stats closures);
     exec_entry =
       (match backend with
       | Interp -> Interp.entry
-      | Compiled -> Compile2.entry entry.cclosures);
+      | Compiled -> Compile2.entry closures);
     frames = Array.make 0 [||];
     taint_frames = Array.make 0 [||];
     cur_regs = [||];

@@ -56,12 +56,14 @@
     parity] byte-diffs full bench output across interp, [--tierup 0] and
     the tiered default.
 
-    Compilation output is cached in a small LRU keyed on ({e physical}
-    program identity x tier x speculation variant), so repeated [create]
+    Compilation output is cached in a small LRU keyed on (program
+    identity x tier x speculation variant), so repeated [create]
     over a working set of programs — attack drills, measurement cells,
     the online dual replay's deployed/pristine alternation — compiles
     each program exactly once per configuration, and tiered recompiles
-    never evict baseline entries.  Compile cost and cache traffic are
+    never evict baseline entries.  The cache holds programs weakly: once
+    a program is unreachable elsewhere, its compiled form is released
+    at the next cache access.  Compile cost and cache traffic are
     visible as ["sched"]-category [engine:compile] spans and
     [compile-cache-hit]/[compile-cache-miss] trace counters; tier-2
     lowering additionally emits [engine:tierup] spans with
@@ -272,8 +274,8 @@ val backend_stats : t -> (string * int) list
 
 val compile_cache_stats : unit -> int * int
 (** Process-wide [(hits, misses)] of the compile LRU since start — a hit
-    means [create] reused a previously compiled program (physical
-    identity, same tier and speculation variant). *)
+    means [create] reused a previously compiled program (same program
+    value, tier and speculation variant). *)
 
 val call : t -> string -> int list -> int option
 (** [call t fname args] runs the function to completion and returns its

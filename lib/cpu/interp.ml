@@ -41,7 +41,7 @@ let rec exec_func t (cf : cfunc) (regs : int array) ~depth ~(ret_to : int) : int
   let spec_on = match t.cfg.speculation with None -> false | Some _ -> true in
   let taint =
     if spec_on then
-      taint_frame t ~depth ~nregs:(if cf.f.nregs > 1 then cf.f.nregs else 1)
+      taint_frame t ~depth cf
     else [||]
   in
   run_block t cf regs taint spec_on depth ret_to cf.f.entry
@@ -130,8 +130,7 @@ and do_icall t cf regs taint spec_on depth ~dst ~fptr ~args ~site ~asm =
 and invoke t cf regs taint spec_on depth ~dst ~(callee : cfunc) ~(args : operand array) =
   enter_code t callee;
   Rsb.push t.trsb cf.id;
-  let nregs = if callee.f.nregs > 1 then callee.f.nregs else 1 in
-  let callee_regs = frame t ~depth:(depth + 1) ~nregs in
+  let callee_regs = frame t ~depth:(depth + 1) callee in
   let nargs = Array.length args in
   let n = if callee.f.params < nargs then callee.f.params else nargs in
   for i = 0 to n - 1 do
@@ -151,6 +150,6 @@ and invoke t cf regs taint spec_on depth ~dst ~(callee : cfunc) ~(args : operand
    compiled backend zeroes only the entry-live set — unobservable by
    construction, pinned by the differential suite. *)
 let entry t cf args =
-  let regs = frame t ~depth:0 ~nregs:(if cf.f.nregs > 1 then cf.f.nregs else 1) in
+  let regs = frame t ~depth:0 cf in
   List.iteri (fun i v -> if i < cf.f.params then regs.(i) <- v) args;
   exec_func t cf regs ~depth:0 ~ret_to:top_id

@@ -121,6 +121,9 @@ type cfunc = {
   cblocks : cblock array;
   key_base : int;  (* PHT key base: Hashtbl.hash fname * 613, as the seed *)
   frame_bytes : int;  (* stack-coloring frame model, precomputed *)
+  frame_len : int;
+      (* register-frame length an activation needs: [nregs], or [params]
+         when the argument prefix is longer, and at least 1 *)
 }
 
 (* id of the synthetic top-of-stack return continuation *)
@@ -134,7 +137,6 @@ type compiled = {
   cfuncs : (string, cfunc) Hashtbl.t;  (* API edge only; never on the hot path *)
   cby_id : cfunc array;
   cfptr_ids : int array;  (* pre-resolved fptr targets; -1 = unknown name *)
-  cmax_regs : int;
   cicall_sites : site array;  (* CIcall slot -> site, in lowering order *)
 }
 
@@ -158,7 +160,6 @@ type t = {
          guard runs once per executed instruction in both backends, and
          the flat field saves an indirection each time *)
   ctrs : counters;
-  max_regs : int;
   backend : backend;
   tier_threshold : int;
       (* tier-up knob: entries of a function beyond this count run the
@@ -243,6 +244,7 @@ let compile_func ~id ~slots intern (f : func) =
     cblocks;
     key_base = Hashtbl.hash f.fname * 613;
     frame_bytes = frame_bytes_of f.nregs;
+    frame_len = max 1 (max f.nregs f.params);
   }
 
 let compile prog =
@@ -267,7 +269,6 @@ let compile prog =
     cfuncs;
     cby_id;
     cfptr_ids = Array.map intern prog.Program.fptr_table;
-    cmax_regs = Array.fold_left (fun m cf -> max m cf.f.nregs) 1 cby_id;
     cicall_sites = Array.of_list (List.rev !slots);
   }
 
@@ -286,64 +287,78 @@ let footprint_of t cf =
     s
   end
 
-(* Register-frame pool: one zeroed frame per activation depth, allocated on
+(* Register-frame pool: one frame per activation depth, allocated on
    first use and reused by every later activation at that depth — no
-   allocation on the call hot path.  Frames are sized to the largest
-   register file in the program; only the first [nregs] slots are ever
-   read, and they are re-zeroed on entry (registers start at 0). *)
+   allocation on the call hot path once the pool is warm.
 
-(* The pooled frame for [depth], with whatever contents its previous
-   activation left: callers zero exactly the slots the callee can read
-   ([frame] zeroes all of them; the compiled call path writes the
-   argument prefix and zeroes only the tail).  Slot stores are
-   bounds-check-free: every [nregs] is <= [t.max_regs] = the pool frame
-   length by construction. *)
-let raw_frame t ~depth =
+   Frame sizing invariant: the frame at a depth is at least as long as
+   the [frame_len] of every function that has run at that depth, and is
+   replaced by a longer one only when an entering function needs more.
+   [func_valid] (compiled backend) and [Validate] bound every register
+   index of a function by its own [nregs], and the argument prefix a call
+   writes by the callee's [params], so an activation never touches a
+   slot past its [frame_len].  Frames therefore track the functions that
+   actually run at each depth instead of the program's largest register
+   file: an engine over an aggressively inlined image allocates a few
+   big frames at the depths its big functions reach, not one per depth.
+   A frame is only ever replaced when a new activation enters at its
+   depth, when no live activation holds it. *)
+
+(* The pooled frame for [depth], at least [len] slots long, with
+   whatever contents its previous activation left: callers zero exactly
+   the slots the callee can read ([frame] zeroes all of them; the
+   compiled call path writes the argument prefix and zeroes only the
+   entry-live tail).  [len] is the entering function's [frame_len]; the
+   length test that grows the frame is the one the hot path already
+   paid for the first-use check. *)
+let raw_frame t ~depth ~len =
   (if depth >= Array.length t.frames then begin
-     let len = Array.length t.frames in
-     let grown = Array.make (max 64 (max (2 * len) (depth + 1))) [||] in
-     Array.blit t.frames 0 grown 0 len;
+     let n = Array.length t.frames in
+     let grown = Array.make (max 64 (max (2 * n) (depth + 1))) [||] in
+     Array.blit t.frames 0 grown 0 n;
      t.frames <- grown
    end);
   let fr = t.frames.(depth) in
-  if Array.length fr = 0 then begin
-    let fr = Array.make (max t.max_regs 1) 0 in
+  if Array.length fr < len then begin
+    let fr = Array.make len 0 in
     t.frames.(depth) <- fr;
     fr
   end
   else fr
 
-let frame t ~depth ~nregs =
-  let fr = raw_frame t ~depth in
+let frame t ~depth (cf : cfunc) =
+  let len = cf.frame_len in
+  let fr = raw_frame t ~depth ~len in
   (* Hand-rolled zeroing: [Array.fill] is a C call, and this runs once
      per activation — straight stores beat the call overhead for the
      small register files that dominate. *)
-  for i = 0 to nregs - 1 do
+  for i = 0 to len - 1 do
     Array.unsafe_set fr i 0
   done;
   fr
 
 (* Pooled taint frame for [depth] with stale contents, mirror of
-   [raw_frame]: callers must overwrite every slot the activation can
-   read before writing. *)
-let raw_taint_frame t ~depth =
+   [raw_frame] (same sizing invariant): callers must overwrite every
+   slot the activation can read before reading it. *)
+let raw_taint_frame t ~depth ~len =
   (if depth >= Array.length t.taint_frames then begin
-     let len = Array.length t.taint_frames in
-     let grown = Array.make (max 64 (max (2 * len) (depth + 1))) [||] in
-     Array.blit t.taint_frames 0 grown 0 len;
+     let n = Array.length t.taint_frames in
+     let grown = Array.make (max 64 (max (2 * n) (depth + 1))) [||] in
+     Array.blit t.taint_frames 0 grown 0 n;
      t.taint_frames <- grown
    end);
   let fr = t.taint_frames.(depth) in
-  if Array.length fr = 0 then begin
-    let fr = Array.make (max t.max_regs 1) None in
+  if Array.length fr < len then begin
+    let fr = Array.make len None in
     t.taint_frames.(depth) <- fr;
     fr
   end
   else fr
 
-let taint_frame t ~depth ~nregs =
-  let fr = raw_taint_frame t ~depth in
-  for i = 0 to nregs - 1 do
+let taint_frame t ~depth (cf : cfunc) =
+  let len = cf.frame_len in
+  let fr = raw_taint_frame t ~depth ~len in
+  for i = 0 to len - 1 do
     Array.unsafe_set fr i None
   done;
   fr

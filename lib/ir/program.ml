@@ -8,7 +8,13 @@ type t = {
   globals_size : int;
   rev_globals_init : (int * int) list;
   next_site : int;
+  uid : int;
 }
+
+(* Every function below that returns a new program value mints its uid,
+   so two values share a uid only if one is the other. *)
+let next_uid = Atomic.make 1
+let fresh_uid () = Atomic.fetch_and_add next_uid 1
 
 let empty =
   {
@@ -18,9 +24,10 @@ let empty =
     globals_size = 0;
     rev_globals_init = [];
     next_site = 0;
+    uid = 0;
   }
 
-let with_globals_size t size = { t with globals_size = size }
+let with_globals_size t size = { t with globals_size = size; uid = fresh_uid () }
 let layout_order t = List.rev t.rev_order
 let find t name = String_map.find name t.funcs
 let find_opt t name = String_map.find_opt name t.funcs
@@ -30,12 +37,12 @@ let add_func t f =
   let rev_order =
     if String_map.mem f.fname t.funcs then t.rev_order else f.fname :: t.rev_order
   in
-  { t with funcs = String_map.add f.fname f t.funcs; rev_order }
+  { t with funcs = String_map.add f.fname f t.funcs; rev_order; uid = fresh_uid () }
 
 let update_func t f =
   if not (String_map.mem f.fname t.funcs) then
     invalid_arg ("Program.update_func: unknown function " ^ f.fname)
-  else { t with funcs = String_map.add f.fname f t.funcs }
+  else { t with funcs = String_map.add f.fname f t.funcs; uid = fresh_uid () }
 
 let remove_func t name =
   if not (String_map.mem name t.funcs) then
@@ -47,6 +54,7 @@ let remove_func t name =
       t with
       funcs = String_map.remove name t.funcs;
       rev_order = List.filter (fun n -> not (String.equal n name)) t.rev_order;
+      uid = fresh_uid ();
     }
 
 let iter_funcs t g = List.iter (fun name -> g (find t name)) (layout_order t)
@@ -68,20 +76,20 @@ let add_fptr t name =
   | Some i -> (t, i)
   | None ->
     let i = Array.length t.fptr_table in
-    ({ t with fptr_table = Array.append t.fptr_table [| name |] }, i)
+    ({ t with fptr_table = Array.append t.fptr_table [| name |]; uid = fresh_uid () }, i)
 
 let fresh_site t =
   let id = t.next_site in
-  ({ t with next_site = id + 1 }, { site_id = id; site_origin = id })
+  ({ t with next_site = id + 1; uid = fresh_uid () }, { site_id = id; site_origin = id })
 
 let clone_site t ~origin =
   let id = t.next_site in
-  ({ t with next_site = id + 1 }, { site_id = id; site_origin = origin.site_origin })
+  ({ t with next_site = id + 1; uid = fresh_uid () }, { site_id = id; site_origin = origin.site_origin })
 
 let set_global t ~addr ~value =
   if addr < 0 || addr >= t.globals_size then
     invalid_arg (Printf.sprintf "Program.set_global: address %d out of range" addr)
-  else { t with rev_globals_init = (addr, value) :: t.rev_globals_init }
+  else { t with rev_globals_init = (addr, value) :: t.rev_globals_init; uid = fresh_uid () }
 
 let initial_memory t =
   let mem = Array.make t.globals_size 0 in

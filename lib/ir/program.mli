@@ -17,6 +17,10 @@ type t = private {
   globals_size : int;
   rev_globals_init : (int * int) list;  (** (address, value), newest first *)
   next_site : int;  (** next fresh call-site id *)
+  uid : int;
+      (** distinct for every program value this module returns: an
+          identity that caches can key on without keeping the program
+          alive *)
 }
 
 val empty : t

@@ -117,16 +117,13 @@ let replay ~requests ~image ~(phase : Workload.phase) rng =
   done;
   eng
 
-let profile_window ~requests ~prog ~(phase : Workload.phase) rng =
-  let collector = Collector.create prog in
-  let pconfig =
-    {
-      Engine.default_config with
-      Engine.on_edge = Some (Collector.hook collector);
-      on_entry = Some (Collector.hook_entry collector);
-    }
+(* [collector] is the instance's own, over the run's shared pristine
+   index; reset here, so each window profile starts from zero. *)
+let profile_window ~requests ~collector ~prog ~(phase : Workload.phase) rng =
+  Collector.reset collector;
+  let profiler =
+    Engine.create ~config:(Collector.instrument collector Engine.default_config) prog
   in
-  let profiler = Engine.create ~config:pconfig prog in
   for _ = 1 to requests do
     phase.Workload.request profiler rng
   done;
@@ -143,20 +140,24 @@ type wresult = {
    counterfactual image (canary evaluation), and on a profiling build of
    the pristine kernel (the shard's window profile) — the same dual-replay
    discipline as [Sim.run_window], per instance. *)
-let run_instance_window ~requests ~prog ~image ~counterfactual ~phase rng =
+let run_instance_window ~requests ~collector ~prog ~image ~counterfactual ~phase rng =
   let rng_prof = Rng.copy rng in
   let rng_old = Rng.copy rng in
-  let deployed = replay ~requests ~image ~phase rng in
-  Engine.trace_counters ~cat:"online" ~name:"fleet-deployed" deployed;
-  let w_counter_cycles =
-    match counterfactual with
-    | None -> 0
-    | Some old_image -> Engine.cycles (replay ~requests ~image:old_image ~phase rng_old)
+  let w_cycles, w_counter_cycles =
+    Trace.span ~cat:"online" "online:replay" (fun () ->
+        let deployed = replay ~requests ~image ~phase rng in
+        Engine.trace_counters ~cat:"online" ~name:"fleet-deployed" deployed;
+        ( Engine.cycles deployed,
+          match counterfactual with
+          | None -> 0
+          | Some old_image -> Engine.cycles (replay ~requests ~image:old_image ~phase rng_old) ))
   in
   {
-    w_cycles = Engine.cycles deployed;
+    w_cycles;
     w_counter_cycles;
-    w_profile = profile_window ~requests ~prog ~phase rng_prof;
+    w_profile =
+      Trace.span ~cat:"online" "online:profile" (fun () ->
+          profile_window ~requests ~collector ~prog ~phase rng_prof);
   }
 
 (* --------------------------- fleet controller ----------------------- *)
@@ -186,6 +187,12 @@ let run ?(config = default_config) ?(verify = false) ?pool ~adaptive ~prog ~spec
     let n = cfg.instances in
     let scheds = schedules ~phases ~instances:n ~windows:cfg.windows in
     let images = Array.make n (Controller.image controller) in
+    (* one pristine index for the run; each instance owns the collector
+       its pool task resets and fills *)
+    let collectors =
+      let index = Collector.index prog in
+      Array.init n (fun _ -> Collector.of_index index)
+    in
     let shards =
       Array.init n (fun _ -> Store.create ~window:cfg.store_window ~decay:cfg.decay ())
     in
@@ -305,7 +312,8 @@ let run ?(config = default_config) ?(verify = false) ?pool ~adaptive ~prog ~spec
                Array.of_list
                  (Pool.map pool
                     (fun i ->
-                      run_instance_window ~requests:cfg.requests_per_window ~prog
+                      run_instance_window ~requests:cfg.requests_per_window
+                        ~collector:collectors.(i) ~prog
                         ~image:images.(i)
                         ~counterfactual:(if i = canary then counterfactual else None)
                         ~phase:scheds.(i).(w) rngs.(i))

@@ -61,45 +61,40 @@ type outcome = {
    single replay on the deployed image with the collector hooked into it;
    the lift resolves clones/promotions/inlined-away edges through the
    image's provenance back to pristine origins.  No second machine
-   exists — samples come from the binary users actually run. *)
-let run_window ~cfg ~prog ~image ~provenance ~(phase : Workload.phase) rng =
-  if cfg.profile_on_deployed then begin
-    let collector = Collector.create ~provenance image.H.prog in
-    let dconfig =
-      {
-        (H.engine_config image) with
-        Engine.on_edge = Some (Collector.hook collector);
-        on_entry = Some (Collector.hook_entry collector);
-      }
-    in
-    let deployed = Engine.create ~config:dconfig image.H.prog in
+   exists — samples come from the binary users actually run.
+
+   [collector] is the caller's, built for the program this window
+   profiles (the pristine kernel, or the deployed image); it is reset
+   here.  [online:replay] spans the deployed replay, [online:profile]
+   the profiler replay and the lift. *)
+let run_window ~cfg ~collector ~prog ~image ~(phase : Workload.phase) rng =
+  Collector.reset collector;
+  let replay config prog rng =
+    let engine = Engine.create ~config prog in
     for _ = 1 to cfg.requests_per_window do
-      phase.Workload.request deployed rng
+      phase.Workload.request engine rng
     done;
-    Engine.trace_counters ~cat:"online" ~name:"window-deployed" deployed;
-    (Engine.cycles deployed, Collector.lift collector)
-  end
-  else begin
-    let rng_profile = Rng.copy rng in
-    let deployed = Engine.create ~config:(H.engine_config image) image.H.prog in
-    for _ = 1 to cfg.requests_per_window do
-      phase.Workload.request deployed rng
-    done;
-    Engine.trace_counters ~cat:"online" ~name:"window-deployed" deployed;
-    let collector = Collector.create prog in
-    let pconfig =
-      {
-      Engine.default_config with
-      Engine.on_edge = Some (Collector.hook collector);
-      on_entry = Some (Collector.hook_entry collector);
-    }
-    in
-    let profiler = Engine.create ~config:pconfig prog in
-    for _ = 1 to cfg.requests_per_window do
-      phase.Workload.request profiler rng_profile
-    done;
-    (Engine.cycles deployed, Collector.lift collector)
-  end
+    engine
+  in
+  let rng_profile = Rng.copy rng in
+  let deployed =
+    Trace.span ~cat:"online" "online:replay" (fun () ->
+        let config = H.engine_config image in
+        let config =
+          if cfg.profile_on_deployed then Collector.instrument collector config else config
+        in
+        let deployed = replay config image.H.prog rng in
+        Engine.trace_counters ~cat:"online" ~name:"window-deployed" deployed;
+        deployed)
+  in
+  let wprof =
+    Trace.span ~cat:"online" "online:profile" (fun () ->
+        if not cfg.profile_on_deployed then
+          ignore
+            (replay (Collector.instrument collector Engine.default_config) prog rng_profile);
+        Collector.lift collector)
+  in
+  (Engine.cycles deployed, wprof)
 
 let run ?(config = default_config) ?(verify = false) ~adaptive ~prog ~spec ~training
     ~phases () =
@@ -112,6 +107,24 @@ let run ?(config = default_config) ?(verify = false) ~adaptive ~prog ~spec ~trai
       Drift.detector ~threshold:cfg.drift_threshold ~hysteresis:cfg.hysteresis
     in
     let master = Rng.create cfg.seed in
+    (* One collector per profiled program, reset every window: the
+       pristine kernel's for the whole deployment, or the deployed
+       image's, replaced when a rebuild swaps the image. *)
+    let collector =
+      let pristine = lazy (Collector.create prog) in
+      let deployed = ref None in
+      fun image ->
+        if not cfg.profile_on_deployed then Lazy.force pristine
+        else
+          match !deployed with
+          | Some (img, c) when img == image -> c
+          | _ ->
+            let c =
+              Collector.create ~provenance:(Controller.provenance controller) image.H.prog
+            in
+            deployed := Some (image, c);
+            c
+    in
     let index = ref 0 in
     let windows = ref [] in
     (* Window accounting is exception-safe: the record is pushed (and the
@@ -137,9 +150,9 @@ let run ?(config = default_config) ?(verify = false) ~adaptive ~prog ~spec ~trai
                else []
              in
              Trace.span ~cat:"online" "online:window" ~args:span_args (fun () ->
+                 let image = Controller.image controller in
                  let cycles, wprof =
-                   run_window ~cfg ~prog ~image:(Controller.image controller)
-                     ~provenance:(Controller.provenance controller) ~phase rng
+                   run_window ~cfg ~collector:(collector image) ~prog ~image ~phase rng
                  in
                  (* Detect on the freshest window (fast reaction); rebuild on the
                     decayed merge (stable training data).  Hysteresis, not
@@ -195,14 +208,9 @@ let run ?(config = default_config) ?(verify = false) ~adaptive ~prog ~spec ~trai
 
 let training_profile ?(config = default_config) ~prog ~phases () =
   let collector = Collector.create prog in
-  let pconfig =
-    {
-      Engine.default_config with
-      Engine.on_edge = Some (Collector.hook collector);
-      on_entry = Some (Collector.hook_entry collector);
-    }
+  let engine =
+    Engine.create ~config:(Collector.instrument collector Engine.default_config) prog
   in
-  let engine = Engine.create ~config:pconfig prog in
   let master = Rng.create config.seed in
   List.iter
     (fun ((phase : Workload.phase), nwindows) ->

@@ -18,64 +18,178 @@ let zero_stats =
     recovered_weight = 0;
   }
 
-type t = {
-  prog : Program.t;
+(* The per-program half, immutable once built: the profiling image's
+   layout plus a dense site table indexed by [site_id].  [site_kind] is
+   0 for ids that name no call site of the program, 1 for direct sites,
+   2 for indirect (and asm) sites; on a pristine program origin =
+   site_id, on an optimized one clones report their inherited origin. *)
+type index = {
   layout : Layout.t;
-  pairs : (int * int, int) Hashtbl.t;
-  lbr : Lbr.t;
-  (* site identity map, built once: site_id -> (origin, is the site a
-     direct call?).  On a pristine program origin = site_id; on an
-     optimized one clones report their inherited origin. *)
-  site_info : (int, int * bool) Hashtbl.t;
+  site_kind : Bytes.t;
+  site_origin : int array;
+  site_addr : int array;
   provenance : Provenance.t option;
+}
+
+(* The per-window half.  Hooked edges are counted in (site, callee)
+   cells: [head.(site_id)] is the first cell of that site's chain (-1
+   when empty), and the cell arrays hold each cell's site, callee, count
+   and next cell in first-occurrence order.  Only raw samples go through
+   the LBR ring, draining into [raw] keyed by address pair, with
+   [raw_order] keeping their first occurrences (newest first). *)
+type t = {
+  index : index;
+  head : int array;
+  mutable cell_site : int array;
+  mutable cell_callee : string array;
+  mutable cell_count : int array;
+  mutable cell_next : int array;
+  mutable ncells : int;
+  mutable unmapped : int;
+      (* hooked edges whose site is not a call site of the program *)
+  raw : (int * int, int) Hashtbl.t;
+  raw_order : (int * int) list ref;
+  lbr : Lbr.t;
   (* top-level (kernel-entry) invocations, observed through
      [Engine.on_entry]: the one entry signal that survives total
      inlining, and the anchor of the carry-forward scaling *)
   external_entries : (string, int) Hashtbl.t;
   mutable last_stats : lift_stats;
+  (* lift's scratch tables, emptied by [Hashtbl.reset] on every lift: a
+     reset table iterates exactly like a fresh one of the same initial
+     size, and reusing it spares the window four large allocations *)
+  pairs : (int * int, int) Hashtbl.t;
+  site_total : (int, int) Hashtbl.t;
+  site_targets : (int, (string, int) Hashtbl.t) Hashtbl.t;
+  entry_total : (string, int) Hashtbl.t;
 }
 
-let create ?provenance prog =
+let index ?provenance prog =
   let layout = Layout.build prog in
-  let pairs = Hashtbl.create 4096 in
+  let iter_sites g =
+    Program.iter_funcs prog (fun f ->
+        Func.iter_insts f (fun _ i ->
+            match i with
+            | Types.Call { site; _ } -> g site '\001'
+            | Types.Icall { site; _ } | Types.Asm_icall { site; _ } -> g site '\002'
+            | Types.Assign _ | Types.Store _ | Types.Observe _ -> ()))
+  in
+  let n = ref 0 in
+  iter_sites (fun site _ -> n := max !n (site.Types.site_id + 1));
+  let site_kind = Bytes.make !n '\000' in
+  let site_origin = Array.make !n 0 in
+  let site_addr = Array.make !n 0 in
+  (* in program order, so a duplicated id resolves like the layout's
+     table does: the last occurrence wins *)
+  iter_sites (fun site kind ->
+      let id = site.Types.site_id in
+      if id >= 0 then begin
+        Bytes.set site_kind id kind;
+        site_origin.(id) <- site.Types.site_origin;
+        site_addr.(id) <- Layout.site_addr layout id
+      end);
+  { layout; site_kind; site_origin; site_addr; provenance }
+
+let known_site index id =
+  id >= 0 && id < Bytes.length index.site_kind && Bytes.get index.site_kind id <> '\000'
+
+let of_index index =
+  let cap = 256 in
+  let raw = Hashtbl.create 64 in
+  let raw_order = ref [] in
   let drain (r : Lbr.record) =
     let key = (r.Lbr.from_addr, r.Lbr.to_addr) in
-    Hashtbl.replace pairs key (1 + Option.value ~default:0 (Hashtbl.find_opt pairs key))
+    match Hashtbl.find_opt raw key with
+    | Some c -> Hashtbl.replace raw key (c + 1)
+    | None ->
+      Hashtbl.replace raw key 1;
+      raw_order := key :: !raw_order
   in
-  let site_info = Hashtbl.create 1024 in
-  Program.iter_funcs prog (fun f ->
-      Func.iter_insts f (fun _ i ->
-          match i with
-          | Types.Call { site; _ } ->
-            Hashtbl.replace site_info site.Types.site_id (site.Types.site_origin, true)
-          | Types.Icall { site; _ } | Types.Asm_icall { site; _ } ->
-            Hashtbl.replace site_info site.Types.site_id (site.Types.site_origin, false)
-          | Types.Assign _ | Types.Store _ | Types.Observe _ -> ()));
   {
-    prog;
-    layout;
-    pairs;
+    index;
+    head = Array.make (Bytes.length index.site_kind) (-1);
+    cell_site = Array.make cap 0;
+    cell_callee = Array.make cap "";
+    cell_count = Array.make cap 0;
+    cell_next = Array.make cap (-1);
+    ncells = 0;
+    unmapped = 0;
+    raw;
+    raw_order;
     lbr = Lbr.create ~drain ();
-    site_info;
-    provenance;
     external_entries = Hashtbl.create 64;
     last_stats = zero_stats;
+    pairs = Hashtbl.create 4096;
+    site_total = Hashtbl.create 1024;
+    site_targets = Hashtbl.create 256;
+    entry_total = Hashtbl.create 512;
   }
 
+let create ?provenance prog = of_index (index ?provenance prog)
+
+let reset t =
+  for c = 0 to t.ncells - 1 do
+    t.head.(t.cell_site.(c)) <- -1
+  done;
+  t.ncells <- 0;
+  t.unmapped <- 0;
+  Lbr.flush t.lbr;
+  Hashtbl.reset t.raw;
+  t.raw_order := [];
+  Hashtbl.reset t.external_entries;
+  t.last_stats <- zero_stats
+
+let grow t =
+  let cap = 2 * Array.length t.cell_site in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 t.ncells;
+    b
+  in
+  t.cell_site <- extend t.cell_site 0;
+  t.cell_callee <- extend t.cell_callee "";
+  t.cell_count <- extend t.cell_count 0;
+  t.cell_next <- extend t.cell_next (-1)
+
+let add_cell t site callee =
+  if t.ncells = Array.length t.cell_site then grow t;
+  let c = t.ncells in
+  t.ncells <- c + 1;
+  t.cell_site.(c) <- site;
+  t.cell_callee.(c) <- callee;
+  t.cell_count.(c) <- 1;
+  t.cell_next.(c) <- t.head.(site);
+  t.head.(site) <- c
+
+(* Walk [site]'s cell chain from [c] for [callee]'s cell.  Top level, not
+   a local closure, so the per-edge path allocates nothing. *)
+let rec count_edge t site callee c =
+  if c < 0 then add_cell t site callee
+  else
+    let name = t.cell_callee.(c) in
+    (* the engine hands out the program's own name strings, so the
+       physical test almost always settles the compare *)
+    if name == callee || String.equal name callee then
+      t.cell_count.(c) <- t.cell_count.(c) + 1
+    else count_edge t site callee t.cell_next.(c)
+
 let hook t (e : Pibe_cpu.Engine.edge_event) =
-  (* The profiling run observes addresses, as LBR hardware would. *)
-  match
-    ( Layout.site_addr t.layout e.Pibe_cpu.Engine.site.Types.site_id,
-      Layout.func_addr t.layout e.Pibe_cpu.Engine.callee )
-  with
-  | from_addr, to_addr -> Lbr.record t.lbr ~from_addr ~to_addr
-  | exception Not_found -> ()
+  let site = e.Pibe_cpu.Engine.site.Types.site_id in
+  if known_site t.index site then count_edge t site e.Pibe_cpu.Engine.callee t.head.(site)
+  else t.unmapped <- t.unmapped + 1
 
 let record_raw t ~from_addr ~to_addr = Lbr.record t.lbr ~from_addr ~to_addr
 
 let hook_entry t func =
   Hashtbl.replace t.external_entries func
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.external_entries func))
+
+let instrument t (config : Pibe_cpu.Engine.config) =
+  {
+    config with
+    Pibe_cpu.Engine.on_edge = Some (hook t);
+    on_entry = Some (hook_entry t);
+  }
 
 let bump tbl key count =
   Hashtbl.replace tbl key (count + Option.value ~default:0 (Hashtbl.find_opt tbl key))
@@ -149,25 +263,48 @@ let resolve_instances ~site_total ~entry_total insts =
   done;
   counts
 
-let lift t =
+(* The window's address pairs, in first-occurrence order: the hooked
+   cells resolved through the layout (a callee the layout does not know
+   is unmapped weight), then the raw samples.  Filling the table in the
+   order the ring used to deliver the records keeps its iteration order,
+   and with it the lifted profile's, identical to ring-fed collection.
+   Returns the table and the unmapped weight. *)
+let pair_table t =
   Lbr.flush t.lbr;
+  let pairs = t.pairs in
+  Hashtbl.reset pairs;
+  let unmapped = ref t.unmapped in
+  for c = 0 to t.ncells - 1 do
+    let count = t.cell_count.(c) in
+    match Layout.func_addr t.index.layout t.cell_callee.(c) with
+    | to_addr -> bump pairs (t.index.site_addr.(t.cell_site.(c)), to_addr) count
+    | exception Not_found -> unmapped := !unmapped + count
+  done;
+  List.iter (fun key -> bump pairs key (Hashtbl.find t.raw key)) (List.rev !(t.raw_order));
+  (pairs, !unmapped)
+
+let lift t =
+  let index = t.index in
+  let pairs, unmapped = pair_table t in
   let profile = Profile.create () in
   (* 1. aggregate the address pairs back onto site ids / entered funcs *)
-  let site_total : (int, int) Hashtbl.t = Hashtbl.create 1024 in
-  let site_targets : (int, (string, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 256 in
-  let entry_total : (string, int) Hashtbl.t = Hashtbl.create 512 in
+  let site_total = t.site_total and site_targets = t.site_targets in
+  let entry_total = t.entry_total in
+  Hashtbl.reset site_total;
+  Hashtbl.reset site_targets;
+  Hashtbl.reset entry_total;
   Hashtbl.iter (fun func count -> bump entry_total func count) t.external_entries;
-  let dropped = ref 0 in
+  let dropped = ref unmapped in
   let lifted = ref 0 in
+  let is_direct site_id = Bytes.get index.site_kind site_id = '\001' in
   Hashtbl.iter
     (fun (from_addr, to_addr) count ->
-      match (Layout.site_at t.layout from_addr, Layout.func_at t.layout to_addr) with
-      | Some site_id, Some target when Hashtbl.mem t.site_info site_id ->
+      match (Layout.site_at index.layout from_addr, Layout.func_at index.layout to_addr) with
+      | Some site_id, Some target when known_site index site_id ->
         lifted := !lifted + count;
         bump site_total site_id count;
         bump entry_total target count;
-        let _, is_direct = Hashtbl.find t.site_info site_id in
-        if not is_direct then begin
+        if not (is_direct site_id) then begin
           let vp =
             match Hashtbl.find_opt site_targets site_id with
             | Some vp -> vp
@@ -181,11 +318,11 @@ let lift t =
       | _ ->
         (* stale address: outside any known site or function range *)
         dropped := !dropped + count)
-    t.pairs;
+    pairs;
   (* 2. emission helper: direct counts at an ICP-promoted origin fold
      back into the pristine indirect site's value profile *)
   let add_direct_resolved ~origin ~count =
-    match Option.bind t.provenance (fun pv -> Provenance.promotion pv origin) with
+    match Option.bind index.provenance (fun pv -> Provenance.promotion pv origin) with
     | Some (pristine_origin, target) ->
       Profile.add_indirect profile ~origin:pristine_origin ~target ~count
     | None -> Profile.add_direct profile ~origin ~count
@@ -193,8 +330,8 @@ let lift t =
   (* 3. observed sites, keyed by origin *)
   Hashtbl.iter
     (fun site_id count ->
-      let origin, is_direct = Hashtbl.find t.site_info site_id in
-      if is_direct then add_direct_resolved ~origin ~count
+      let origin = index.site_origin.(site_id) in
+      if is_direct site_id then add_direct_resolved ~origin ~count
       else
         Hashtbl.iter
           (fun target c -> Profile.add_indirect profile ~origin ~target ~count:c)
@@ -205,7 +342,7 @@ let lift t =
   let recovered_instances = ref 0 in
   let unrecovered_instances = ref 0 in
   let recovered_weight = ref 0 in
-  (match t.provenance with
+  (match index.provenance with
   | None -> ()
   | Some pv ->
     let insts = Array.of_list (Provenance.instances pv) in
@@ -245,5 +382,5 @@ let lift t =
 let stats t = t.last_stats
 
 let raw_pairs t =
-  Lbr.flush t.lbr;
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.pairs [])
+  let pairs, _ = pair_table t in
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) pairs [])

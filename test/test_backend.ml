@@ -374,6 +374,112 @@ let test_fault_mid_fused_call () =
     && agree ~tierup:1 ~callfuse:1 ~tier3:2 ~mkconfig:base prog calls
     && agree ~tierup:1 ~callfuse:2 ~mkconfig:hardened prog calls)
 
+(* Register frames are sized to the function that runs in them and grow
+   in place of the pooled frame when a bigger one enters the same depth.
+   Here a 300-register function and small leaves take turns at depths 1
+   and 2, through direct and indirect calls, so frames are allocated
+   small, grown, and then reused by small functions over a big one's
+   stale contents.  Every small function reads a register it never
+   writes first (entry-live, must read 0) and then dirties it.  [wide]
+   declares more parameters than registers, which [Validate] rejects but
+   the engines still run: its argument prefix must fit its frame. *)
+let frame_growth_prog () =
+  let open Types in
+  let prog = ref (Program.with_globals_size Program.empty Helpers.mem_cells) in
+  let site () =
+    let p, s = Program.fresh_site !prog in
+    prog := p;
+    s
+  in
+  let add f = prog := Program.add_func !prog f in
+  let leaf name k =
+    let b = Builder.create ~name ~params:1 in
+    let stale = Builder.reg b in
+    let r = Builder.reg b in
+    Builder.assign b r (Binop (Add, Reg 0, Reg stale));
+    Builder.assign b r (Binop (Add, Reg r, Imm k));
+    Builder.assign b stale (Const 991);
+    Builder.observe b (Reg r);
+    Builder.ret b (Some (Reg r));
+    Builder.finish b ()
+  in
+  add (leaf "small" 1);
+  add (leaf "tiny" 2);
+  let big =
+    let b = Builder.create ~name:"big" ~params:2 in
+    let regs = Array.init 300 (fun _ -> Builder.reg b) in
+    (* the last register is read before any write: entry-live *)
+    let acc = Builder.reg b in
+    Builder.assign b acc (Binop (Add, Reg 0, Reg regs.(299)));
+    Array.iteri
+      (fun i r -> Builder.assign b r (Binop (Xor, Reg (if i = 0 then 1 else regs.(i - 1)), Imm (i + 7))))
+      regs;
+    Builder.assign b acc (Binop (Add, Reg acc, Reg regs.(298)));
+    Builder.store b ~addr:(Imm 12) ~value:(Reg acc);
+    Builder.ret b (Some (Reg acc));
+    Builder.finish b ()
+  in
+  add big;
+  let wide =
+    let b = Builder.create ~name:"wide" ~params:1 in
+    Builder.assign b 0 (Binop (Add, Reg 0, Imm 5));
+    Builder.observe b (Reg 0);
+    Builder.ret b (Some (Reg 0));
+    { (Builder.finish b ()) with params = 3 }
+  in
+  add wide;
+  let p, fp_small = Program.add_fptr !prog "small" in
+  let p, fp_big = Program.add_fptr p "big" in
+  prog := p;
+  let mid =
+    let b = Builder.create ~name:"mid" ~params:1 in
+    let r = Builder.reg b in
+    Builder.call b ~dst:r (site ()) "wide" [ Reg 0; Imm 1; Imm 2 ];
+    Builder.call b ~dst:r (site ()) "tiny" [ Reg r ];
+    Builder.call b ~dst:r (site ()) "big" [ Reg r; Imm 3 ];
+    Builder.call b ~dst:r (site ()) "small" [ Reg r ];
+    let fp = Builder.reg b in
+    Builder.assign b fp (Binop (And, Reg 0, Imm 1));
+    Builder.assign b fp (Binop (Mul, Reg fp, Imm (fp_big - fp_small)));
+    Builder.assign b fp (Binop (Add, Reg fp, Imm fp_small));
+    Builder.icall b ~dst:r (site ()) [ Reg r; Imm 4 ] ~fptr:(Reg fp);
+    Builder.call b ~dst:r (site ()) "tiny" [ Reg r ];
+    Builder.ret b (Some (Reg r));
+    Builder.finish b ()
+  in
+  add mid;
+  let f0 =
+    let b = Builder.create ~name:"f0" ~params:1 in
+    let r = Builder.reg b in
+    Builder.call b ~dst:r (site ()) "small" [ Reg 0 ];
+    Builder.call b ~dst:r (site ()) "big" [ Reg r; Reg 0 ];
+    Builder.call b ~dst:r (site ()) "tiny" [ Reg r ];
+    Builder.call b ~dst:r (site ()) "mid" [ Reg r ];
+    Builder.call b ~dst:r (site ()) "small" [ Reg r ];
+    Builder.call b ~dst:r (site ()) "wide" [ Reg r; Reg 0; Imm 9 ];
+    Builder.observe b (Reg r);
+    Builder.ret b (Some (Reg r));
+    Builder.finish b ()
+  in
+  add f0;
+  !prog
+
+let test_frames_grow_per_depth () =
+  let prog = frame_growth_prog () in
+  let calls = List.init 6 (fun i -> ("f0", [ i ])) in
+  let ref_run = run_with ~backend:Engine.Interp ~mkconfig:base prog calls in
+  Alcotest.(check bool) "every call returns" true
+    (List.for_all Result.is_ok ref_run.outcomes);
+  List.iter
+    (fun (name, mkconfig) ->
+      Alcotest.(check bool)
+        (name ^ ": interp = compiled at every tier")
+        true
+        (agree ~tierup:0 ~mkconfig prog calls
+        && agree ~mkconfig prog calls
+        && agree ~tierup:1 ~callfuse:1 ~tier3:2 ~mkconfig prog calls))
+    [ ("plain", base); ("speculative", drilled) ]
+
 (* Every fuel budget from empty to past the whole workload: wherever the
    budget dies — before the seam, on the pre-charged call step, inside
    the fused body, on the return — both backends stop identically. *)
@@ -581,6 +687,28 @@ let test_interleaved_compile_once () =
   let h1, m1 = Engine.compile_cache_stats () in
   Alcotest.(check int) "each program compiled exactly once" 2 (m1 - m0);
   Alcotest.(check int) "remaining creates were cache hits" 6 (h1 - h0)
+
+(* The compile cache holds programs weakly: a program nothing else
+   references is collected although an engine was compiled for it, and
+   a live program still hits after a full collection. *)
+let test_cache_does_not_retain_programs () =
+  let w = Weak.create 1 in
+  let compile_and_drop () =
+    let p = Helpers.random_program 424_203 in
+    ignore (Engine.create p);
+    Weak.set w 0 (Some p)
+  in
+  compile_and_drop ();
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check bool) "dropped program collected" false (Weak.check w 0);
+  let live = Helpers.random_program 424_204 in
+  ignore (Engine.create live);
+  Gc.full_major ();
+  let h0, m0 = Engine.compile_cache_stats () in
+  ignore (Engine.create live);
+  let h1, m1 = Engine.compile_cache_stats () in
+  Alcotest.(check (pair int int)) "live program still hits" (1, 0) (h1 - h0, m1 - m0)
 
 let test_trace_compile_events () =
   let p = Helpers.random_program 777_001 in
@@ -805,6 +933,8 @@ let suite =
       test_fault_mid_fused_call;
     Alcotest.test_case "fuel sweep at call seams" `Quick
       test_fuel_sweep_at_call_seam;
+    Alcotest.test_case "frames grow per depth, bit-exact" `Quick
+      test_frames_grow_per_depth;
     Alcotest.test_case "accumulator runs bit-exact" `Quick test_acc_runs;
     Alcotest.test_case "recursive callee never fuses" `Quick
       test_recursive_callee_not_fused;
@@ -813,6 +943,8 @@ let suite =
     Alcotest.test_case "kernel attack drills agree" `Quick test_attack_drills;
     Alcotest.test_case "interleaved programs compile once" `Quick
       test_interleaved_compile_once;
+    Alcotest.test_case "compile cache does not retain programs" `Quick
+      test_cache_does_not_retain_programs;
     Alcotest.test_case "compile cache keyed per tier" `Quick test_lru_tier_keying;
     Alcotest.test_case "compile spans and cache counters traced" `Quick
       test_trace_compile_events;

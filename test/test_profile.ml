@@ -509,6 +509,120 @@ let test_collector_entry_hook () =
   Alcotest.(check int) "two entries for f0" 2 (Profile.invocations profile "f0");
   Alcotest.(check int) "one entry for f1" 1 (Profile.invocations profile "f1")
 
+(* ------------------- index / window collector ---------------------- *)
+
+(* The cells path must lift exactly what the LBR ring would have: feed
+   one collector through the engine hook and a second one the same
+   edges as raw address pairs (addresses from the layout), on a random
+   program and on an image built from it (provenance attached). *)
+let hook_and_raw ?provenance prog ~config calls =
+  let hooked = Collector.create ?provenance prog in
+  let raw = Collector.create ?provenance prog in
+  let layout = Layout.build prog in
+  let on_edge (e : Engine.edge_event) =
+    Collector.hook hooked e;
+    Collector.record_raw raw
+      ~from_addr:(Layout.site_addr layout e.Engine.site.Types.site_id)
+      ~to_addr:(Layout.func_addr layout e.Engine.callee)
+  in
+  let on_entry f =
+    Collector.hook_entry hooked f;
+    Collector.hook_entry raw f
+  in
+  let engine =
+    Engine.create ~config:{ config with Engine.on_edge = Some on_edge; on_entry = Some on_entry } prog
+  in
+  List.iter (fun (entry, args) -> ignore (Engine.call engine entry args)) calls;
+  let view c =
+    let p = Collector.lift c in
+    (Profile.to_string p, Collector.stats c, Collector.raw_pairs c)
+  in
+  (view hooked, view raw)
+
+let prop_hook_matches_raw =
+  QCheck.Test.make ~name:"hooked cells lift like raw LBR pairs (pristine and built)"
+    ~count:40 QCheck.small_int (fun seed ->
+      let prog = Helpers.random_program seed in
+      let calls = Helpers.standard_calls prog in
+      let h, r = hook_and_raw prog ~config:Engine.default_config calls in
+      let profile = Pibe.Pipeline.profile prog ~run:(fun e ->
+          List.iter (fun (entry, args) -> ignore (Engine.call e entry args)) calls)
+      in
+      (* ICP alone leaves promoted direct edges to fold back; with the
+         inliner most edges vanish into provenance-recovered instances *)
+      let spec =
+        match
+          Pibe_pm.Spec.of_string
+            (if seed mod 2 = 0 then "icp(budget=99),cleanup,retpoline"
+             else "icp(budget=99),inline(budget=60),cleanup,retpoline")
+        with
+        | Ok s -> s
+        | Error e -> failwith e
+      in
+      match Pibe.Pipeline.run_spec prog profile spec with
+      | Error e -> QCheck.Test.fail_report e
+      | Ok built ->
+        let image = built.Pibe_pm.Manager.image in
+        let iprog = image.Pibe_harden.Pass.prog in
+        let bh, br =
+          hook_and_raw ~provenance:built.Pibe_pm.Manager.provenance iprog
+            ~config:(Pibe_harden.Pass.engine_config image) (Helpers.standard_calls iprog)
+        in
+        h = r && bh = br)
+
+(* One collector reset between windows equals a fresh collector per
+   window: counts, raw samples, entries and stats all start over. *)
+let test_reset_equals_fresh () =
+  let prog = Helpers.random_program 33 in
+  let index = Collector.index prog in
+  let reused = Collector.of_index index in
+  let layout = Layout.build prog in
+  let f0 = Layout.func_addr layout "f0" in
+  for w = 1 to 4 do
+    let fresh = Collector.create prog in
+    Collector.reset reused;
+    let run c =
+      let engine = Engine.create ~config:(Collector.instrument c Engine.default_config) prog in
+      List.iteri
+        (fun i (entry, args) ->
+          if i < w then ignore (Engine.call engine entry (List.map (( + ) w) args)))
+        (Helpers.standard_calls prog);
+      (* a raw sample that lifts nowhere, and one that repeats per window *)
+      Collector.record_raw c ~from_addr:(w * 1_000_003) ~to_addr:f0;
+      Collector.record_raw c ~from_addr:1 ~to_addr:1;
+      let p = Collector.lift c in
+      (Profile.to_string p, Collector.stats c, Collector.raw_pairs c)
+    in
+    let a = run fresh and b = run reused in
+    Alcotest.(check bool) (Printf.sprintf "window %d: reset collector equals a fresh one" w)
+      true (a = b)
+  done
+
+(* A collector hooked to an engine running a different kernel: edges at
+   sites or into functions the collector's program does not have are
+   dropped and counted, so every executed edge is accounted for. *)
+let test_mismatched_program_counts_drops () =
+  let other = Helpers.kernel () in
+  (* seed 1 generates fewer call sites and functions than seed 42 *)
+  let info = Pibe_kernel.Gen.generate { Pibe_kernel.Ctx.seed = 1; scale = 1 } in
+  let collector = Collector.create info.Pibe_kernel.Gen.prog in
+  let engine =
+    Engine.create
+      ~config:(Collector.instrument collector Engine.default_config)
+      other.Pibe_kernel.Gen.prog
+  in
+  let rng = Pibe_util.Rng.create 5 in
+  List.iter
+    (fun (op : Pibe_kernel.Workload.op) -> op.Pibe_kernel.Workload.run engine rng)
+    (Pibe_kernel.Workload.lmbench other);
+  ignore (Collector.lift collector);
+  let stats = Collector.stats collector in
+  let counters = Engine.counters engine in
+  Alcotest.(check bool) "some edges dropped" true (stats.Collector.dropped_pairs > 0);
+  Alcotest.(check int) "lifted + dropped = executed calls"
+    (counters.Engine.calls + counters.Engine.icalls)
+    (stats.Collector.lifted_pairs + stats.Collector.dropped_pairs)
+
 let suite =
   [
     ("counts accumulate", `Quick, test_counts_accumulate);
@@ -536,4 +650,8 @@ let suite =
     Helpers.qcheck_to_alcotest prop_match_to_idempotent;
     ("collector counts dropped pairs", `Quick, test_collector_counts_dropped_pairs);
     ("collector entry hook", `Quick, test_collector_entry_hook);
+    Helpers.qcheck_to_alcotest prop_hook_matches_raw;
+    ("collector reset equals fresh", `Quick, test_reset_equals_fresh);
+    ("collector counts mismatched-program drops", `Quick,
+     test_mismatched_program_counts_drops);
   ]
